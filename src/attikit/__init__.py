@@ -11,8 +11,8 @@ from .algebra import (
     product_matrix_right,
     pure,
     quat_mul,
-    require_unit,
 )
+from .checks import require_unit
 from .conversions import (
     AxisAngle,
     EulerAnglesXYZ,

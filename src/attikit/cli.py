@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import algebra, conversions, simulation
+from . import algebra, checks, conversions, simulation
 from .errors import AttitudeError
 
 CLI_UNIT_TOLERANCE = 1e-6  # looser than the library: hand-typed quats get normalized
@@ -42,6 +42,7 @@ def _precision_default() -> int:
     try:
         return int(raw)
     except ValueError:
+        print(f"error: ATTIKIT_PRECISION must be an integer, got {raw!r}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 
@@ -70,11 +71,7 @@ def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
 
 
 def _parse_unit_quat(text: str, what: str = "quaternion") -> np.ndarray:
-    q = _parse_floats(text, 4, what)
-    n = float(np.linalg.norm(q))
-    if abs(n - 1.0) > CLI_UNIT_TOLERANCE:
-        print(f"error: {what} norm {n!r} is not 1 within {CLI_UNIT_TOLERANCE}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+    q = checks.require_unit(_parse_floats(text, 4, what), CLI_UNIT_TOLERANCE, what)
     return algebra.normalized(q)
 
 
@@ -105,12 +102,8 @@ def _decode_to_quat(repr_name: str, value: str, unit: str) -> np.ndarray:
         return conversions.from_rotation_matrix(r)
     if repr_name == "axis-angle":
         v = _parse_floats(value, 4, "axis-angle")
-        axis, angle = v[:3], _angle_in(v[3], unit)
-        n = float(np.linalg.norm(axis))
-        if abs(n - 1.0) > CLI_UNIT_TOLERANCE:
-            print(f"error: axis norm {n!r} is not 1 within {CLI_UNIT_TOLERANCE}", file=sys.stderr)
-            raise SystemExit(EXIT_INVALID)
-        return conversions.from_axis_angle(axis / n, angle)
+        axis = checks.require_unit_axis(v[:3], CLI_UNIT_TOLERANCE)
+        return conversions.from_axis_angle(axis / np.linalg.norm(axis), _angle_in(v[3], unit))
     if repr_name == "euler-xyz":
         e = _parse_floats(value, 3, "euler-xyz")
         return conversions.euler_xyz_to_quat(

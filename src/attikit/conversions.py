@@ -1,8 +1,10 @@
-"""Conversions among attitude representations.
+"""Conversions among attitude representations, over stacked inputs.
 
 Covers unit quaternion <-> rotation matrix, axis-angle and XYZ Euler angles,
 the Rodrigues rotation formula as an independent cross-check, and the
-Hamilton <-> JPL convention bridge.
+Hamilton <-> JPL convention bridge.  Quaternions are ``(..., 4)``, vectors
+and axes ``(..., 3)``, matrices ``(..., 3, 3)``, and angles broadcast
+against them.
 
 The primary sandwich convention is Hamilton local-to-global,
 ``x_G = q ∘ x_L ∘ conj(q)``.  The inverse (global-to-local) direction is a
@@ -12,63 +14,112 @@ separate named operation so the convention is never flipped silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import algebra
-from .algebra import canonicalize, conjugate, quat_mul, require_unit
-from .errors import InvalidAxisError, InvalidRotationError, NonFiniteInputError
+from .algebra import _canonical, _conj, _mul, _unit
+from .checks import (
+    GIMBAL_EPSILON,
+    dot,
+    finite,
+    require_rotation_matrix,
+    require_unit,
+    require_unit_axis,
+)
 
-AXIS_TOLERANCE = 1e-9
-ROTATION_TOLERANCE = 1e-6
-GIMBAL_EPSILON = 1e-6  # radians from theta = ±pi/2 treated as degenerate
+_X, _Y, _Z = np.eye(3)
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+
+# Largest-pivot extraction (Markley 2008).  Row i of _PIVOT_DIAG_SIGN gives the
+# diagonal signs of 4 q_i^2 (i >= 1); row i of _PIVOT_OFF picks 4 q_i q_j from the
+# off-diagonal combinations in _from_matrix, -1 marking q_i itself.
+_PIVOT_DIAG_SIGN = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
+_PIVOT_OFF = np.array([[-1, 0, 1, 2], [0, -1, 3, 4], [1, 3, -1, 5], [2, 4, 5, -1]])
+_JPL_CONJ_SIGN = np.array([-1.0, -1.0, -1.0, 1.0])
 
 
 class AxisAngle(NamedTuple):
-    axis: np.ndarray  # unit 3-vector
-    angle: float  # radians, in (-pi, pi]
+    axis: np.ndarray  # (..., 3) unit vectors
+    angle: float | np.ndarray  # radians, in (-pi, pi]
 
 
-@dataclass(frozen=True)
-class EulerAnglesXYZ:
+class EulerAnglesXYZ(NamedTuple):
     """XYZ-sequence Euler angles: phi about X, theta about new Y, psi about new Z.
 
     ``degenerate`` marks a gimbal-lock extraction where only phi + psi (or
     phi - psi) is observable; by policy psi is set to 0 and the full twist
-    folded into phi.
+    folded into phi.  Fields are arrays when extracted from a stack.
     """
 
-    phi: float
-    theta: float
-    psi: float
-    degenerate: bool = False
+    phi: float | np.ndarray
+    theta: float | np.ndarray
+    psi: float | np.ndarray
+    degenerate: bool | np.ndarray = False
 
 
-def _as_vec3(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInputError(f"vector has non-finite components: {v}")
-    return v
+def _angle(x):
+    return finite(x, (), "angle")
 
 
-def _require_unit_axis(axis) -> np.ndarray:
-    axis = _as_vec3(axis)
-    n = float(np.linalg.norm(axis))
-    if abs(n - 1.0) > AXIS_TOLERANCE:
-        raise InvalidAxisError(f"axis norm {n!r} deviates from 1 beyond {AXIS_TOLERANCE}")
-    return axis
+def _cross(a, b):
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
-def from_axis_angle(axis, angle: float) -> np.ndarray:
-    """Unit quaternion (cos(θ/2), n sin(θ/2)) for rotation by angle about axis."""
-    axis = _require_unit_axis(axis)
-    half = 0.5 * float(angle)
-    s = math.sin(half)
-    return np.array([math.cos(half), s * axis[0], s * axis[1], s * axis[2]])
+def _from_axis_angle(axis, angle):
+    half = 0.5 * angle
+    vec = np.sin(half)[..., None] * axis
+    out = np.empty(vec.shape[:-1] + (4,))
+    out[..., 0] = np.cos(half)
+    out[..., 1:] = vec
+    return out
+
+
+def _rotate(q, v):
+    # v + 2 q0 (u × v) + 2 u × (u × v): every term is even in q, so q and -q
+    # give bit-identical results.
+    u = q[..., 1:]
+    t = _cross(u, v)
+    return v + 2.0 * q[..., :1] * t + 2.0 * _cross(u, t)
+
+
+def _matrix(q):
+    q0, q1, q2, q3 = (q[..., k] for k in range(4))
+    r = np.stack(
+        [
+            q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
+            2.0 * (q1 * q2 - q0 * q3),
+            2.0 * (q0 * q2 + q1 * q3),
+            2.0 * (q1 * q2 + q0 * q3),
+            q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3,
+            2.0 * (q2 * q3 - q0 * q1),
+            2.0 * (q1 * q3 - q0 * q2),
+            2.0 * (q0 * q1 + q2 * q3),
+            q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3,
+        ],
+        axis=-1,
+    )
+    return r.reshape(r.shape[:-1] + (3, 3))
+
+
+def _from_matrix(r):
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = (r[..., k // 3, k % 3] for k in range(9))
+    tr = r00 + r11 + r22
+    # argmax keeps the first of tied pivots, in the order [tr, r00, r11, r22].
+    i = np.argmax(np.stack([tr, r00, r11, r22], axis=-1), axis=-1)
+    sign = _PIVOT_DIAG_SIGN[i]
+    # s = 4 |q_i|, from 4 q0^2 = 1 + tr or 4 q_i^2 = 1 ± r00 ± r11 ± r22.
+    diag = 1.0 + sign[..., 0] * r00 + sign[..., 1] * r11 + sign[..., 2] * r22
+    s = np.sqrt(np.where(i == 0, 1.0 + tr, diag)) * 2.0
+    off = np.stack([r21 - r12, r02 - r20, r10 - r01, r01 + r10, r02 + r20, r12 + r21], axis=-1)
+    q = np.take_along_axis(off, _PIVOT_OFF[i], axis=-1) / s[..., None]
+    np.put_along_axis(q, i[..., None], 0.25 * s[..., None], axis=-1)
+    return _canonical(_unit(q))
+
+
+def from_axis_angle(axis, angle) -> np.ndarray:
+    """Unit quaternions (cos(θ/2), n sin(θ/2)) for rotation by angle about axis."""
+    return _from_axis_angle(require_unit_axis(axis), _angle(angle))
 
 
 def to_axis_angle(q) -> AxisAngle:
@@ -76,178 +127,93 @@ def to_axis_angle(q) -> AxisAngle:
 
     The identity quaternion maps to angle 0 about (1, 0, 0) by convention.
     """
-    q = canonicalize(require_unit(q))
-    vec_norm = float(np.linalg.norm(q[1:]))
-    if vec_norm == 0.0:
-        return AxisAngle(np.array([1.0, 0.0, 0.0]), 0.0)
-    angle = 2.0 * math.atan2(vec_norm, q[0])
-    if angle > math.pi:
-        angle -= 2.0 * math.pi
-    return AxisAngle(q[1:] / vec_norm, angle)
+    q = _canonical(require_unit(q))
+    vec = q[..., 1:]
+    vec_norm = np.sqrt(dot(vec, vec))
+    zero = vec_norm == 0.0
+    axis = np.where(zero[..., None], _X, vec / np.where(zero, 1.0, vec_norm)[..., None])
+    # q0 >= 0 after canonicalization, so the angle lies in [0, pi].
+    return AxisAngle(axis, 2.0 * np.arctan2(vec_norm, q[..., 0]))
 
 
 def rotate_vector(q, v) -> np.ndarray:
     """Local-to-global sandwich rotation: vector part of q ∘ (0,v) ∘ conj(q)."""
-    q = require_unit(q)
-    v = _as_vec3(v)
-    return quat_mul(quat_mul(q, algebra.pure(v)), conjugate(q))[1:]
+    return _rotate(require_unit(q), finite(v, (3,), "vector"))
 
 
 def rotate_vector_inverse(q, v) -> np.ndarray:
     """Global-to-local sandwich rotation: vector part of conj(q) ∘ (0,v) ∘ q."""
-    q = require_unit(q)
-    v = _as_vec3(v)
-    return quat_mul(quat_mul(conjugate(q), algebra.pure(v)), q)[1:]
+    return _rotate(_conj(require_unit(q)), finite(v, (3,), "vector"))
 
 
-def rodrigues_rotate(axis, angle: float, v, direction: str = "local-to-global") -> np.ndarray:
+def rodrigues_rotate(axis, angle, v, direction: str = "local-to-global") -> np.ndarray:
     """Rodrigues rotation formula, independent of the quaternion pipeline.
 
     ``local-to-global`` uses the sin θ (n × v) cross term and matches
     rotate_vector; ``global-to-local`` uses sin θ (v × n) and matches
     rotate_vector_inverse.
     """
-    axis = _require_unit_axis(axis)
-    v = _as_vec3(v)
-    c = math.cos(angle)
-    s = math.sin(angle)
+    axis = require_unit_axis(axis)
+    angle = _angle(angle)
+    v = finite(v, (3,), "vector")
     if direction == "local-to-global":
-        cross = np.cross(axis, v)
+        cross = _cross(axis, v)
     elif direction == "global-to-local":
-        cross = np.cross(v, axis)
+        cross = _cross(v, axis)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return (1.0 - c) * float(axis @ v) * axis + c * v + s * cross
+    c = np.cos(angle)[..., None]
+    s = np.sin(angle)[..., None]
+    return (1.0 - c) * dot(axis, v)[..., None] * axis + c * v + s * cross
 
 
 def to_rotation_matrix(q) -> np.ndarray:
-    """3x3 rotation matrix R with R @ v = rotate_vector(q, v).
+    """3x3 rotation matrices R with R @ v = rotate_vector(q, v).
 
     Even in every quaternion component, so R(q) = R(-q) exactly.
     """
-    q = require_unit(q)
-    q0, q1, q2, q3 = q
-    return np.array(
-        [
-            [
-                q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
-                2.0 * (q1 * q2 - q0 * q3),
-                2.0 * (q0 * q2 + q1 * q3),
-            ],
-            [
-                2.0 * (q1 * q2 + q0 * q3),
-                q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3,
-                2.0 * (q2 * q3 - q0 * q1),
-            ],
-            [
-                2.0 * (q1 * q3 - q0 * q2),
-                2.0 * (q0 * q1 + q2 * q3),
-                q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3,
-            ],
-        ]
-    )
-
-
-def require_rotation_matrix(r, tol: float = ROTATION_TOLERANCE) -> np.ndarray:
-    """Validate orthonormality and det +1 within tol; returns the array."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteInputError("rotation matrix has non-finite entries")
-    err = np.max(np.abs(r.T @ r - np.eye(3)))
-    if err > tol:
-        raise InvalidRotationError(f"matrix is not orthonormal (max |R'R - I| = {err:.3e})")
-    det = float(np.linalg.det(r))
-    if abs(det - 1.0) > tol:
-        raise InvalidRotationError(f"matrix determinant {det!r} is not +1")
-    return r
+    return _matrix(require_unit(q))
 
 
 def from_rotation_matrix(r) -> np.ndarray:
-    """Canonicalized unit quaternion for a rotation matrix.
+    """Canonicalized unit quaternions for rotation matrices.
 
     Uses largest-pivot selection among the four trace-based candidates for
     stability near 180-degree rotations.
     """
-    r = require_rotation_matrix(r)
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    # Four candidate pivots: 4q0^2 = 1+tr, 4qi^2 = 1 - tr + 2*r[i,i].
-    pivots = [tr, r[0, 0], r[1, 1], r[2, 2]]
-    i = int(np.argmax(pivots))
-    if i == 0:
-        s = math.sqrt(1.0 + tr) * 2.0  # s = 4 q0
-        q = np.array(
-            [
-                0.25 * s,
-                (r[2, 1] - r[1, 2]) / s,
-                (r[0, 2] - r[2, 0]) / s,
-                (r[1, 0] - r[0, 1]) / s,
-            ]
-        )
-    elif i == 1:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0  # s = 4 q1
-        q = np.array(
-            [
-                (r[2, 1] - r[1, 2]) / s,
-                0.25 * s,
-                (r[0, 1] + r[1, 0]) / s,
-                (r[0, 2] + r[2, 0]) / s,
-            ]
-        )
-    elif i == 2:
-        s = math.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0  # s = 4 q2
-        q = np.array(
-            [
-                (r[0, 2] - r[2, 0]) / s,
-                (r[0, 1] + r[1, 0]) / s,
-                0.25 * s,
-                (r[1, 2] + r[2, 1]) / s,
-            ]
-        )
-    else:
-        s = math.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0  # s = 4 q3
-        q = np.array(
-            [
-                (r[1, 0] - r[0, 1]) / s,
-                (r[0, 2] + r[2, 0]) / s,
-                (r[1, 2] + r[2, 1]) / s,
-                0.25 * s,
-            ]
-        )
-    return canonicalize(algebra.normalized(q))
+    return _from_matrix(require_rotation_matrix(r))
 
 
-def _elementary_x(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def _elementary(angle, i: int, j: int) -> np.ndarray:
+    # Rotations by angle in the (i, j) coordinate plane.
+    c, s = np.cos(angle), np.sin(angle)
+    m = np.zeros(np.shape(c) + (3, 3))
+    m[..., 3 - i - j, 3 - i - j] = 1.0
+    m[..., i, i] = m[..., j, j] = c
+    m[..., i, j] = -s
+    m[..., j, i] = s
+    return m
 
 
-def _elementary_y(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def euler_xyz_to_matrix(phi, theta, psi) -> np.ndarray:
+    """Body-to-world rotation matrices R_x(phi) R_y(theta) R_z(psi)."""
+    return (
+        _elementary(_angle(phi), 1, 2)
+        @ _elementary(_angle(theta), 2, 0)
+        @ _elementary(_angle(psi), 0, 1)
+    )
 
 
-def _elementary_z(psi: float) -> np.ndarray:
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def euler_xyz_to_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
-    """Body-to-world rotation matrix R_x(phi) R_y(theta) R_z(psi)."""
-    return _elementary_x(phi) @ _elementary_y(theta) @ _elementary_z(psi)
-
-
-def euler_xyz_to_quat(phi: float, theta: float, psi: float) -> np.ndarray:
-    """Unit quaternion q_phi ∘ q_theta ∘ q_psi (local rotations post-multiplied)."""
-    q_phi = from_axis_angle(np.array([1.0, 0.0, 0.0]), phi)
-    q_theta = from_axis_angle(np.array([0.0, 1.0, 0.0]), theta)
-    q_psi = from_axis_angle(np.array([0.0, 0.0, 1.0]), psi)
-    return quat_mul(q_phi, quat_mul(q_theta, q_psi))
+def euler_xyz_to_quat(phi, theta, psi) -> np.ndarray:
+    """Unit quaternions q_phi ∘ q_theta ∘ q_psi (local rotations post-multiplied)."""
+    q_phi = _from_axis_angle(_X, _angle(phi))
+    q_theta = _from_axis_angle(_Y, _angle(theta))
+    q_psi = _from_axis_angle(_Z, _angle(psi))
+    return _mul(q_phi, _mul(q_theta, q_psi))
 
 
 def quat_to_euler_xyz(q, gimbal_epsilon: float = GIMBAL_EPSILON) -> EulerAnglesXYZ:
-    """Extract XYZ Euler angles from a unit quaternion.
+    """Extract XYZ Euler angles from unit quaternions.
 
     theta is the principal asin branch in [-pi/2, pi/2]; phi and psi use the
     four-quadrant arctangent.  Within ``gimbal_epsilon`` radians of
@@ -255,20 +221,22 @@ def quat_to_euler_xyz(q, gimbal_epsilon: float = GIMBAL_EPSILON) -> EulerAnglesX
     flagged degenerate with psi = 0 and the twist folded into phi.
     """
     q = require_unit(q)
-    q0, q1, q2, q3 = q
-    s = 2.0 * (q0 * q2 + q1 * q3)
-    s = min(1.0, max(-1.0, s))
-    if abs(s) >= math.cos(gimbal_epsilon):
-        theta = math.copysign(0.5 * math.pi, s)
-        # R[1,0] = sin(phi ± psi), R[1,1] = cos(phi ∓ psi) at the poles.
-        r10 = 2.0 * (q1 * q2 + q0 * q3)
-        r11 = q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3
-        phi = math.atan2(math.copysign(1.0, s) * r10, r11)
-        return EulerAnglesXYZ(phi, theta, 0.0, degenerate=True)
-    theta = math.asin(s)
-    phi = math.atan2(-2.0 * (q2 * q3 - q0 * q1), q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3)
-    psi = math.atan2(-2.0 * (q1 * q2 - q0 * q3), q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3)
-    return EulerAnglesXYZ(phi, theta, psi)
+    q0, q1, q2, q3 = (q[..., k] for k in range(4))
+    s = np.clip(2.0 * (q0 * q2 + q1 * q3), -1.0, 1.0)
+    degenerate = np.abs(s) >= math.cos(gimbal_epsilon)
+    sign = np.copysign(1.0, s)
+    # At the poles R[1,0] = sin(phi ± psi) and R[1,1] = cos(phi ∓ psi).
+    phi_pole = np.arctan2(
+        sign * (2.0 * (q1 * q2 + q0 * q3)), q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3
+    )
+    phi = np.arctan2(-2.0 * (q2 * q3 - q0 * q1), q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3)
+    psi = np.arctan2(-2.0 * (q1 * q2 - q0 * q3), q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3)
+    return EulerAnglesXYZ(
+        np.where(degenerate, phi_pole, phi)[()],
+        np.where(degenerate, sign * (0.5 * math.pi), np.arcsin(s))[()],
+        np.where(degenerate, 0.0, psi)[()],
+        degenerate,
+    )
 
 
 # --- Hamilton / JPL convention bridge --------------------------------------
@@ -277,39 +245,36 @@ def quat_to_euler_xyz(q, gimbal_epsilon: float = GIMBAL_EPSILON) -> EulerAnglesX
 # (ij = -k), and read global-to-local by default: x_L = q ∘ x_G ∘ q*.
 
 
+def _jpl_mul(a, b):
+    av, a0 = a[..., :3], a[..., 3:]
+    bv, b0 = b[..., :3], b[..., 3:]
+    vec = a0 * bv + b0 * av - _cross(av, bv)
+    return np.concatenate([vec, a0 * b0 - dot(av, bv)[..., None]], axis=-1)
+
+
 def jpl_quat_mul(a, b) -> np.ndarray:
     """JPL quaternion product (vector-first storage, ij = -k)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    av, a0 = a[:3], a[3]
-    bv, b0 = b[:3], b[3]
-    vec = a0 * bv + b0 * av - np.cross(av, bv)
-    return np.array([vec[0], vec[1], vec[2], a0 * b0 - float(av @ bv)])
+    return _jpl_mul(finite(a, (4,), "JPL quaternion"), finite(b, (4,), "JPL quaternion"))
 
 
 def jpl_rotate_global_to_local(q_jpl, v) -> np.ndarray:
-    """Apply a JPL quaternion by its own rules: vector part of q ∘ (v,0) ∘ q*."""
-    q_jpl = np.asarray(q_jpl, dtype=float)
-    v = _as_vec3(v)
-    x = np.array([v[0], v[1], v[2], 0.0])
-    q_conj = np.array([-q_jpl[0], -q_jpl[1], -q_jpl[2], q_jpl[3]])
-    return jpl_quat_mul(jpl_quat_mul(q_jpl, x), q_conj)[:3]
+    """Apply JPL quaternions by their own rules: vector part of q ∘ (v,0) ∘ q*."""
+    q_jpl = finite(q_jpl, (4,), "JPL quaternion")
+    v = finite(v, (3,), "vector")
+    x = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+    return _jpl_mul(_jpl_mul(q_jpl, x), q_jpl * _JPL_CONJ_SIGN)[..., :3]
 
 
 def hamilton_to_jpl(q) -> np.ndarray:
-    """JPL (vector-first) quaternion representing the same physical attitude.
+    """JPL (vector-first) quaternions representing the same physical attitudes.
 
     The storage reorder alone suffices: the handedness flip and the
     local-to-global/global-to-local flip cancel, which the rotation-matrix
     oracle in the tests verifies (never asserted by component fiat).
     """
-    q = require_unit(q)
-    return np.array([q[1], q[2], q[3], q[0]])
+    return require_unit(q)[..., [1, 2, 3, 0]]
 
 
 def jpl_to_hamilton(q_jpl) -> np.ndarray:
     """Inverse bridge; result is canonicalized."""
-    q_jpl = np.asarray(q_jpl, dtype=float)
-    if q_jpl.shape != (4,):
-        raise ValueError(f"expected 4 components, got shape {q_jpl.shape}")
-    return canonicalize(require_unit(np.array([q_jpl[3], q_jpl[0], q_jpl[1], q_jpl[2]])))
+    return _canonical(require_unit(finite(q_jpl, (4,), "JPL quaternion")[..., [3, 0, 1, 2]]))

@@ -1,4 +1,4 @@
-"""Attitude-error quaternion and its first-order dynamics.
+"""Attitude-error quaternion and its first-order dynamics, over stacked inputs.
 
 The error quaternion q_e = inverse(q_d) ∘ q rotates vectors from the body
 frame to the desired frame, so q = q_d ∘ q_e.  With the angular velocity
@@ -10,26 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import canonicalize, conjugate, pure, quat_mul, require_unit
-from .conversions import (
-    require_rotation_matrix,
-    rotate_vector,
-    rotate_vector_inverse,
-)
+from .algebra import _canonical, _conj, _mul, _pure
+from .checks import finite, require_rotation_matrix, require_unit
+from .conversions import rotate_vector, rotate_vector_inverse
 
 
 def error_quaternion(q_d, q) -> np.ndarray:
     """Canonicalized relative rotation inverse(q_d) ∘ q (body to desired frame)."""
-    q_d = require_unit(q_d)
-    q = require_unit(q)
-    return canonicalize(quat_mul(conjugate(q_d), q))
+    return _canonical(_mul(_conj(require_unit(q_d)), require_unit(q)))
 
 
 def error_matrix(r_d, r) -> np.ndarray:
     """Relative rotation matrix inverse(R_d) R, so R_d @ result = R."""
-    r_d = require_rotation_matrix(r_d)
-    r = require_rotation_matrix(r)
-    return r_d.T @ r
+    return np.swapaxes(require_rotation_matrix(r_d), -1, -2) @ require_rotation_matrix(r)
 
 
 def error_quaternion_rate(q_e, w_body, w_des_body) -> np.ndarray:
@@ -38,9 +31,8 @@ def error_quaternion_rate(q_e, w_body, w_des_body) -> np.ndarray:
     Both rates are in the body frame; q_e = identity with matching rates is
     an exact fixed point.
     """
-    q_e = require_unit(q_e)
-    w_tilde = np.asarray(w_body, dtype=float) - np.asarray(w_des_body, dtype=float)
-    return 0.5 * quat_mul(q_e, pure(w_tilde))
+    w_tilde = finite(w_body, (3,), "body rate") - finite(w_des_body, (3,), "desired body rate")
+    return 0.5 * _mul(require_unit(q_e), _pure(w_tilde))
 
 
 def desired_rate_to_body_frame(q_e, w_des_in_desired) -> np.ndarray:
@@ -48,11 +40,9 @@ def desired_rate_to_body_frame(q_e, w_des_in_desired) -> np.ndarray:
 
     Inverse of ``body_rate_to_desired_frame``; norm-preserving.
     """
-    q_e = require_unit(q_e)
     return rotate_vector_inverse(q_e, w_des_in_desired)
 
 
 def body_rate_to_desired_frame(q_e, w_in_body) -> np.ndarray:
     """Transport a body-frame angular velocity into the desired frame."""
-    q_e = require_unit(q_e)
     return rotate_vector(q_e, w_in_body)

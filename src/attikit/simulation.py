@@ -27,17 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import normalized, pure, quat_mul, require_unit
-from .conversions import from_axis_angle
+from .algebra import _mul, _pure, _unit
+from .checks import SINGULARITY_THRESHOLD, require_unit
+from .conversions import _from_axis_angle
 from .errors import (
     GimbalLockError,
     InvalidConfigError,
     NonFiniteInputError,
 )
-from .kinematics import (
-    euler_rate_conditioning,
-    euler_rates_from_body_321,
-)
+from .kinematics import _conditioning, _euler_rates_321
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,7 +91,7 @@ class RateProfile:
         w = np.asarray(self._func(t), dtype=float)
         if w.shape != (3,):
             raise ValueError(f"rate profile must yield 3-vectors, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise NonFiniteInputError(f"rate profile non-finite at t={t}: {w}")
         return w
 
@@ -167,16 +165,16 @@ def propagate_quaternion(
             # zero-order-hold switch aligned with the grid belongs entirely
             # to the next step (negligible for smooth profiles).
             t_end = float(np.nextafter(t + dt, t))
-            k1 = 0.5 * quat_mul(q, pure(profile(t)))
-            k2 = 0.5 * quat_mul(q + 0.5 * dt * k1, pure(profile(t + 0.5 * dt)))
-            k3 = 0.5 * quat_mul(q + 0.5 * dt * k2, pure(profile(t + 0.5 * dt)))
-            k4 = 0.5 * quat_mul(q + dt * k3, pure(profile(t_end)))
-            q = normalized(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            k1 = 0.5 * _mul(q, _pure(profile(t)))
+            k2 = 0.5 * _mul(q + 0.5 * dt * k1, _pure(profile(t + 0.5 * dt)))
+            k3 = 0.5 * _mul(q + 0.5 * dt * k2, _pure(profile(t + 0.5 * dt)))
+            k4 = 0.5 * _mul(q + dt * k3, _pure(profile(t_end)))
+            q = _unit(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         elif method == "expmap":
             w = profile(t)
             wn = float(np.linalg.norm(w))
             if wn > 0.0:
-                q = quat_mul(q, from_axis_angle(w / wn, wn * dt))
+                q = _mul(q, _from_axis_angle(w / wn, wn * dt))
         else:
             raise InvalidConfigError(f"unknown method {method!r}")
         t = t0 + (k + 1) * dt
@@ -197,16 +195,16 @@ def propagate_euler_321(
     if e.shape != (3,):
         raise ValueError(f"expected Euler angle triple, got shape {e.shape}")
     n = _check_grid(dt, t1, t0)
-    states = [EulerState(t0, e[0], e[1], e[2], euler_rate_conditioning(e[1]))]
+    states = [EulerState(t0, e[0], e[1], e[2], _conditioning(e[1]))]
     t = t0
     for k in range(n):
         try:
-            rates = euler_rates_from_body_321(e[0], e[1], profile(t))
+            rates = _euler_rates_321(e[0], e[1], profile(t), SINGULARITY_THRESHOLD)
         except GimbalLockError:
             return EulerTrajectory(states, gimbal_locked=True)
         e = e + dt * rates
         t = t0 + (k + 1) * dt
-        states.append(EulerState(t, e[0], e[1], e[2], euler_rate_conditioning(e[1])))
+        states.append(EulerState(t, e[0], e[1], e[2], _conditioning(e[1])))
     return EulerTrajectory(states, gimbal_locked=False)
 
 

@@ -1,5 +1,12 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# CLI tests run ``python -m attikit`` in subprocesses; point them at this checkout too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

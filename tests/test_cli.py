@@ -150,6 +150,15 @@ class TestPrecisionConfig:
         r = run_cli("rotate", "--quat", "1,0,0,0", "--vec", "1,0,0", "--precision", "3")
         assert r.returncode == 2
 
+    def test_non_integer_env_precision_explained(self):
+        r = run_cli(
+            "rotate", "--quat", "1,0,0,0", "--vec", "1,0,0",
+            env_extra={"ATTIKIT_PRECISION": "abc"},
+        )
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: ATTIKIT_PRECISION must be an integer, got 'abc'\n"
+
 
 class TestIntegrate:
     def test_constant_rate_expmap_fixture(self, tmp_path):
