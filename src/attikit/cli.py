@@ -17,6 +17,8 @@ otherwise to stdout (summary JSON on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -83,15 +85,44 @@ def _angle_out(x: float, unit: str) -> float:
     return math.degrees(x) if unit == "deg" else x
 
 
-def _emit(payload: dict, values: list[float], fmt: str, p: int) -> None:
+def _rounded(payload: dict, p: int) -> dict:
+    """The payload with its float and list entries rounded to p decimal places."""
+    return {
+        k: (_round(v, p) if isinstance(v, float) else [_round(x, p) for x in v] if isinstance(v, list) else v)
+        for k, v in payload.items()
+    }
+
+
+def _csv_lines(rows, width: int, p: int):
+    """CSV lines: each value rounded to p decimal places, then printed with at most p significant digits."""
+    line = ",".join([f"%.{p}g"] * width) + "\n"
+    return (line % tuple(_round(v, p) for v in row) for row in rows)
+
+
+def _emit(payload: dict, fmt: str, p: int) -> None:
     if fmt == "csv":
-        print(",".join(f"{_round(v, p):.{p}g}" for v in values))
+        # One row: the float and list entries in order; a flag such as "degenerate" is left out.
+        values = (x for v in payload.values() for x in (v if isinstance(v, list) else [v]))
+        row = [x for x in values if isinstance(x, float)]
+        sys.stdout.writelines(_csv_lines([row], len(row), p))
     else:
-        rounded = {
-            k: (_round(v, p) if isinstance(v, float) else [_round(x, p) for x in v] if isinstance(v, list) else v)
-            for k, v in payload.items()
-        }
-        print(json.dumps(rounded))
+        print(json.dumps(_rounded(payload, p)))
+
+
+def _write_trajectory(args, header: str, rows, summary: dict) -> None:
+    """CSV to --output and the summary JSON to stdout, else CSV to stdout and summary to stderr."""
+    if args.output:
+        sink, side = open(args.output, "w", encoding="utf-8", newline="\n"), sys.stdout
+    else:
+        sink, side = contextlib.nullcontext(sys.stdout), sys.stderr
+    with sink as f:
+        f.write(header + "\n")
+        f.writelines(_csv_lines(rows, header.count(",") + 1, args.precision))
+    print(json.dumps(_rounded(summary, args.precision)), file=side)
+
+
+def _quat_payload(q) -> dict:
+    return {"q0": q[0], "q1": q[1], "q2": q[2], "q3": q[3]}
 
 
 def _decode_to_quat(repr_name: str, value: str, unit: str) -> np.ndarray:
@@ -114,18 +145,14 @@ def _decode_to_quat(repr_name: str, value: str, unit: str) -> np.ndarray:
     raise AssertionError(repr_name)
 
 
-def _encode_from_quat(repr_name: str, q: np.ndarray, unit: str) -> tuple[dict, list[float]]:
+def _encode_from_quat(repr_name: str, q: np.ndarray, unit: str) -> dict:
     if repr_name == "quat":
-        qc = algebra.canonicalize(q)
-        payload = {"q0": qc[0], "q1": qc[1], "q2": qc[2], "q3": qc[3]}
-        return payload, list(qc)
+        return _quat_payload(algebra.canonicalize(q))
     if repr_name == "matrix":
-        r = conversions.to_rotation_matrix(q).reshape(-1)
-        return {"r": list(r)}, list(r)
+        return {"r": list(conversions.to_rotation_matrix(q).reshape(-1))}
     if repr_name == "axis-angle":
         aa = conversions.to_axis_angle(q)
-        angle = _angle_out(aa.angle, unit)
-        return {"axis": list(aa.axis), "angle": angle}, [*aa.axis, angle]
+        return {"axis": list(aa.axis), "angle": _angle_out(aa.angle, unit)}
     if repr_name == "euler-xyz":
         e = conversions.quat_to_euler_xyz(q)
         payload = {
@@ -135,17 +162,15 @@ def _encode_from_quat(repr_name: str, q: np.ndarray, unit: str) -> tuple[dict, l
         }
         if e.degenerate:
             payload["degenerate"] = True
-        return payload, [payload["phi"], payload["theta"], payload["psi"]]
+        return payload
     if repr_name == "jpl":
-        j = conversions.hamilton_to_jpl(algebra.canonicalize(q))
-        return {"jpl": list(j)}, list(j)
+        return {"jpl": list(conversions.hamilton_to_jpl(algebra.canonicalize(q)))}
     raise AssertionError(repr_name)
 
 
 def cmd_convert(args) -> int:
     q = _decode_to_quat(args.source, args.value, args.angle_unit)
-    payload, values = _encode_from_quat(args.target, q, args.angle_unit)
-    _emit(payload, values, args.output_format, args.precision)
+    _emit(_encode_from_quat(args.target, q, args.angle_unit), args.output_format, args.precision)
     return 0
 
 
@@ -156,8 +181,7 @@ def cmd_compose(args) -> int:
         q = algebra.quat_mul(base, pert)
     else:
         q = algebra.quat_mul(pert, base)
-    payload = {"q0": q[0], "q1": q[1], "q2": q[2], "q3": q[3]}
-    _emit(payload, list(q), args.output_format, args.precision)
+    _emit(_quat_payload(q), args.output_format, args.precision)
     return 0
 
 
@@ -168,14 +192,8 @@ def cmd_rotate(args) -> int:
         out = conversions.rotate_vector(q, v)
     else:
         out = conversions.rotate_vector_inverse(q, v)
-    _emit({"v": list(out)}, list(out), args.output_format, args.precision)
+    _emit({"v": list(out)}, args.output_format, args.precision)
     return 0
-
-
-def _open_sink(args):
-    if args.output:
-        return open(args.output, "w", encoding="utf-8", newline="\n"), sys.stdout
-    return sys.stdout, sys.stderr
 
 
 def _load_profile(args) -> simulation.RateProfile:
@@ -195,25 +213,9 @@ def cmd_integrate(args) -> int:
     q0 = _parse_unit_quat(args.q0, "initial quaternion")
     profile = _load_profile(args)
     states = simulation.propagate_quaternion(q0, profile, args.dt, args.t1, method=args.method)
-    p = args.precision
-    sink, side = _open_sink(args)
-    try:
-        sink.write("t,q0,q1,q2,q3,p,q,r\n")
-        for s in states:
-            row = [s.t, *s.q, *s.w_body]
-            sink.write(",".join(f"{_round(x, p):.{p}g}" for x in row) + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    rows = ((s.t, *s.q, *s.w_body) for s in states)
     final = states[-1]
-    summary = {
-        "t": _round(final.t, p),
-        "q0": _round(final.q[0], p),
-        "q1": _round(final.q[1], p),
-        "q2": _round(final.q[2], p),
-        "q3": _round(final.q[3], p),
-    }
-    print(json.dumps(summary), file=side)
+    _write_trajectory(args, "t,q0,q1,q2,q3,p,q,r", rows, {"t": final.t, **_quat_payload(final.q)})
     return 0
 
 
@@ -221,23 +223,8 @@ def cmd_demo_unwinding(args) -> int:
     states, summary = simulation.simulate_unwinding(
         args.theta0, args.omega0, args.k, args.c, args.dt, args.t1
     )
-    p = args.precision
-    sink, side = _open_sink(args)
-    try:
-        sink.write("t,theta,omega,u\n")
-        for s in states:
-            sink.write(
-                ",".join(f"{_round(x, p):.{p}g}" for x in (s.t, s.theta, s.omega, s.u)) + "\n"
-            )
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
-    payload = {
-        "final_theta": _round(summary.final_theta, p),
-        "path_length": _round(summary.path_length, p),
-        "short_way": _round(summary.short_way, p),
-    }
-    print(json.dumps(payload), file=side)
+    rows = ((s.t, s.theta, s.omega, s.u) for s in states)
+    _write_trajectory(args, "t,theta,omega,u", rows, dataclasses.asdict(summary))
     return 0
 
 
@@ -250,33 +237,27 @@ def cmd_demo_gimbal_lock(args) -> int:
         dt = simulation.pitch_sweep_dt(args.pitch_rate, args.dt)
     e0 = _parse_floats(args.e0, 3, "initial Euler angles")
     traj = simulation.propagate_euler_321(e0, profile, dt, args.t1)
-    p = args.precision
-    sink, side = _open_sink(args)
-    try:
-        sink.write("t,phi,theta,psi,conditioning,flag\n")
-        last = len(traj.states) - 1
-        for i, s in enumerate(traj.states):
-            flag = 1 if (traj.gimbal_locked and i == last) else 0
-            vals = ",".join(
-                f"{_round(x, p):.{p}g}" for x in (s.t, s.phi, s.theta, s.psi, s.conditioning)
-            )
-            sink.write(f"{vals},{flag}\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    last = len(traj.states) - 1
+    rows = (
+        (s.t, s.phi, s.theta, s.psi, s.conditioning, float(traj.gimbal_locked and i == last))
+        for i, s in enumerate(traj.states)
+    )
     final = traj.states[-1]
-    payload = {
+    summary = {
         "gimbal_lock": traj.gimbal_locked,
-        "t": _round(final.t, p),
-        "theta": _round(final.theta, p),
-        "conditioning": _round(final.conditioning, p),
+        "t": final.t,
+        "theta": final.theta,
+        "conditioning": final.conditioning,
     }
-    print(json.dumps(payload), file=side)
+    _write_trajectory(args, "t,phi,theta,psi,conditioning,flag", rows, summary)
     return 0
 
 
 def _add_common(sub, output_format: bool = True) -> None:
-    sub.add_argument("--precision", type=int, default=None, help="decimal digits, 4..17")
+    sub.add_argument(
+        "--precision", type=int, default=None,
+        help="decimal places p, 4..17: round to 10^-p; CSV prints at most p significant digits",
+    )
     if output_format:
         sub.add_argument("--output-format", choices=("json", "csv"), default="json")
 

@@ -90,7 +90,7 @@ class RateProfile:
     def __call__(self, t: float) -> np.ndarray:
         w = np.asarray(self._func(t), dtype=float)
         if w.shape != (3,):
-            raise ValueError(f"rate profile must yield 3-vectors, got shape {w.shape}")
+            raise InvalidConfigError(f"rate profile must yield 3-vectors, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise NonFiniteInputError(f"rate profile non-finite at t={t}: {w}")
         return w
@@ -106,11 +106,11 @@ class RateProfile:
         times = np.asarray(times, dtype=float)
         rates = np.asarray(rates, dtype=float)
         if times.ndim != 1 or rates.shape != (times.size, 3):
-            raise ValueError("expected times (n,) and rates (n, 3)")
+            raise InvalidConfigError("expected times (n,) and rates (n, 3)")
         if times.size == 0:
-            raise ValueError("empty rate profile")
+            raise InvalidConfigError("empty rate profile")
         if np.any(np.diff(times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+            raise InvalidConfigError("sample times must be strictly increasing")
 
         def hold(t: float) -> np.ndarray:
             i = int(np.searchsorted(times, t, side="right")) - 1
@@ -155,6 +155,8 @@ def propagate_quaternion(
     axis-angle steps using the rate at each interval start (exact for
     piecewise-constant profiles aligned with the grid).
     """
+    if method not in ("rk4", "expmap"):
+        raise InvalidConfigError(f"unknown method {method!r}")
     q = require_unit(q0).copy()
     n = _check_grid(dt, t1, t0)
     states = [AttitudeState(t0, q.copy(), profile(t0))]
@@ -170,13 +172,11 @@ def propagate_quaternion(
             k3 = 0.5 * _mul(q + 0.5 * dt * k2, _pure(profile(t + 0.5 * dt)))
             k4 = 0.5 * _mul(q + dt * k3, _pure(profile(t_end)))
             q = _unit(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        elif method == "expmap":
+        else:
             w = profile(t)
             wn = float(np.linalg.norm(w))
             if wn > 0.0:
                 q = _mul(q, _from_axis_angle(w / wn, wn * dt))
-        else:
-            raise InvalidConfigError(f"unknown method {method!r}")
         t = t0 + (k + 1) * dt
         states.append(AttitudeState(t, q.copy(), profile(t)))
     return states

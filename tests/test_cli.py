@@ -192,6 +192,13 @@ class TestIntegrate:
         r = run_cli("integrate", "--profile", "/nonexistent.csv", "--dt", "0.1", "--t1", "1")
         assert r.returncode == 2
 
+    def test_non_increasing_profile_exit_2(self, tmp_path):
+        prof = tmp_path / "prof.csv"
+        prof.write_text("t,p,q,r\n0,0,0,0\n0,1,0,0\n")
+        r = run_cli("integrate", "--profile", str(prof), "--dt", "0.1", "--t1", "0.5")
+        assert r.returncode == 2
+        assert r.stderr == "error: sample times must be strictly increasing\n"
+
 
 class TestDemos:
     def test_unwinding_defaults_summary(self, tmp_path):
@@ -231,3 +238,30 @@ class TestDemos:
             run_cli("demo-gimbal-lock", "--output", str(out))
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+TRAJECTORY_CALLS = {
+    "integrate": ["integrate", "--rate", "0.1,-0.2,0.3", "--dt", "0.01", "--t1", "0.1"],
+    "demo-unwinding": ["demo-unwinding", "--dt", "0.01", "--t1", "0.1"],
+    # Pitch rate 20 rad/s locks at t = pi/40, inside t1, so the last row is flagged.
+    "demo-gimbal-lock": ["demo-gimbal-lock", "--pitch-rate", "20", "--t1", "0.1"],
+}
+
+
+class TestTrajectorySinks:
+    @pytest.mark.parametrize("args", TRAJECTORY_CALLS.values(), ids=TRAJECTORY_CALLS)
+    def test_stdout_and_file_sinks_agree(self, tmp_path, args):
+        # Without --output: CSV on stdout, summary on stderr. With it: CSV in
+        # the file, summary on stdout. Same bytes either way.
+        out = tmp_path / "traj.csv"
+        to_stdout = run_cli(*args)
+        to_file = run_cli(*args, "--output", str(out))
+        assert to_stdout.returncode == 0 and to_file.returncode == 0
+        assert to_stdout.stdout.encode() == out.read_bytes()
+        assert to_stdout.stderr == to_file.stdout
+        assert to_file.stderr == ""
+        assert len(to_stdout.stdout.splitlines()) > 2
+        summary = json.loads(to_file.stdout)
+        if args[0] == "demo-gimbal-lock":
+            assert summary["gimbal_lock"] is True
+            assert to_stdout.stdout.endswith(",1\n")

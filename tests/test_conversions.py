@@ -22,7 +22,7 @@ from attikit import (
     to_axis_angle,
     to_rotation_matrix,
 )
-from attikit.conversions import jpl_rotate_global_to_local
+from attikit.conversions import jpl_quat_mul, jpl_rotate_global_to_local
 from conftest import random_unit_quats
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -271,3 +271,14 @@ class TestJplBridge:
         for q in random_unit_quats(rng, 200):
             back = jpl_to_hamilton(hamilton_to_jpl(q))
             assert np.max(np.abs(back - canonicalize(q))) < 1e-14
+
+    def test_jpl_product_is_flipped_hamilton_product(self, rng):
+        # Sommer et al., arXiv 1801.07478: J(a) (x)_JPL J(b) = J(b ∘ a), J the reorder.
+        a = random_unit_quats(rng, 1000)
+        b = random_unit_quats(rng, 1000)
+        np.testing.assert_allclose(
+            jpl_quat_mul(hamilton_to_jpl(a), hamilton_to_jpl(b)),
+            hamilton_to_jpl(quat_mul(b, a)),
+            rtol=0,
+            atol=1e-15,
+        )

@@ -43,6 +43,23 @@ class TestRateProfile:
         assert np.array_equal(p(0.5), [0.1, 0.2, 0.3])
         assert np.array_equal(p(1.5), [0.4, 0.5, 0.6])
 
+    def test_callable_shape_error_typed(self):
+        with pytest.raises(InvalidConfigError, match="3-vectors"):
+            RateProfile(lambda t: [1, 2])(0.0)
+
+    @pytest.mark.parametrize(
+        "times, rates, cause",
+        [
+            ([0.0, 1.0], [[1, 0, 0]], "expected times"),
+            ([], np.zeros((0, 3)), "empty"),
+            ([0.0, 0.0], [[1, 0, 0], [0, 1, 0]], "strictly increasing"),
+        ],
+        ids=["shape", "empty", "not-increasing"],
+    )
+    def test_from_samples_errors_typed(self, times, rates, cause):
+        with pytest.raises(InvalidConfigError, match=cause):
+            RateProfile.from_samples(times, rates)
+
     def test_csv_requires_header(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("0,0.1,0.2,0.3\n")
@@ -108,6 +125,11 @@ class TestPropagateQuaternion:
     def test_invalid_dt(self):
         with pytest.raises(InvalidConfigError):
             propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), -0.1, 1.0)
+
+    @pytest.mark.parametrize("dt", [1e-3, 3.0], ids=["steps", "zero-steps"])
+    def test_unknown_method_rejected(self, dt):
+        with pytest.raises(InvalidConfigError, match="bogus"):
+            propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), dt, 1.0, method="bogus")
 
 
 class TestPropagateEuler321:
