@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -224,7 +223,7 @@ def cmd_demo_unwinding(args) -> int:
         args.theta0, args.omega0, args.k, args.c, args.dt, args.t1
     )
     rows = ((s.t, s.theta, s.omega, s.u) for s in states)
-    _write_trajectory(args, "t,theta,omega,u", rows, dataclasses.asdict(summary))
+    _write_trajectory(args, "t,theta,omega,u", rows, summary._asdict())
     return 0
 
 

@@ -27,6 +27,7 @@ from .checks import (
     require_unit,
     require_unit_axis,
 )
+from .errors import InvalidConfigError
 
 _X, _Y, _Z = np.eye(3)
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
@@ -161,7 +162,7 @@ def rodrigues_rotate(axis, angle, v, direction: str = "local-to-global") -> np.n
     elif direction == "global-to-local":
         cross = _cross(v, axis)
     else:
-        raise ValueError(f"unknown direction {direction!r}")
+        raise InvalidConfigError(f"unknown direction {direction!r}")
     c = np.cos(angle)[..., None]
     s = np.sin(angle)[..., None]
     return (1.0 - c) * dot(axis, v)[..., None] * axis + c * v + s * cross

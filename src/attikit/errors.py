@@ -48,4 +48,4 @@ class InconsistentTrajectoryError(AttitudeError):
 
 
 class InvalidConfigError(AttitudeError):
-    """Simulation parameters are out of their valid range."""
+    """A parameter or input file is malformed or out of its valid range."""

@@ -5,25 +5,27 @@ renormalization, and the exponential-map step
 
     q_{k+1} = q_k ∘ (cos(|w| dt / 2), what sin(|w| dt / 2))
 
-which is exact for piecewise-constant body rates and serves as the oracle
-for the RK4 path.
+which uses the rate at each interval start: exact, and the oracle for the
+RK4 path, only for piecewise-constant rates aligned with the grid.
 
 The Euler-angle propagator deliberately keeps the angular position on the
 integration grid (explicit Euler), so when a trajectory is driven into the
 pitch singularity the flagged halt happens at a state actually visited, with
 its conditioning recorded.
 
-The planar unwinding system integrates theta on the real line on purpose:
-the controller u = -k theta - c omega lives on the covering space while the
+The planar unwinding system keeps theta on the real line on purpose: the
+controller u = -k theta - c omega lives on the covering space while the
 configuration is a circle, which is exactly what makes it take the long way
-around from theta = 2*pi - eps.
+around from theta = 2*pi - eps. Being linear, it is solved in closed form.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
-from dataclasses import dataclass
+from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,18 +39,14 @@ from .errors import (
 )
 from .kinematics import _conditioning, _euler_rates_321
 
-TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class AttitudeState:
+class AttitudeState(NamedTuple):
     t: float
     q: np.ndarray  # unit quaternion, scalar first
     w_body: np.ndarray  # body rates [p, q, r], rad/s
 
 
-@dataclass(frozen=True)
-class EulerState:
+class EulerState(NamedTuple):
     t: float
     phi: float
     theta: float
@@ -56,22 +54,19 @@ class EulerState:
     conditioning: float
 
 
-@dataclass(frozen=True)
-class EulerTrajectory:
+class EulerTrajectory(NamedTuple):
     states: list[EulerState]
     gimbal_locked: bool
 
 
-@dataclass(frozen=True)
-class PlanarState:
+class PlanarState(NamedTuple):
     t: float
     theta: float  # unwrapped angle, radians
     omega: float  # rad/s
     u: float  # control torque -k theta - c omega
 
 
-@dataclass(frozen=True)
-class UnwindingSummary:
+class UnwindingSummary(NamedTuple):
     final_theta: float
     path_length: float  # integral of |omega| dt
     short_way: float  # min(theta0 mod 2pi, 2pi - theta0 mod 2pi)
@@ -121,29 +116,35 @@ class RateProfile:
     @classmethod
     def from_csv(cls, path) -> "RateProfile":
         """Load a profile CSV with header t,p,q,r (SI units, zero-order hold)."""
-        times = []
-        rates = []
+        samples = []
         with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != [
-                "t",
-                "p",
-                "q",
-                "r",
-            ]:
-                raise ValueError(f"{path}: expected CSV header 't,p,q,r'")
-            for row in reader:
-                times.append(float(row["t"]))
-                rates.append([float(row["p"]), float(row["q"]), float(row["r"])])
-        return cls.from_samples(np.array(times), np.array(rates))
+            reader = csv.reader(f)
+            if [c.strip() for c in next(reader, [])] != ["t", "p", "q", "r"]:
+                raise InvalidConfigError(f"{path} line 1: expected CSV header 't,p,q,r'")
+            for row in filter(None, reader):  # blank lines are skipped
+                where = f"{path} line {reader.line_num}"
+                if len(row) != 4:
+                    raise InvalidConfigError(f"{where}: expected 4 values, got {len(row)}")
+                samples.append([_parse_cell(cell, where) for cell in row])
+        samples = np.array(samples).reshape(-1, 4)
+        return cls.from_samples(samples[:, 0], samples[:, 1:])
 
 
-def _check_grid(dt: float, t1: float, t0: float) -> int:
+def _parse_cell(cell: str, where: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise InvalidConfigError(f"{where}: cannot parse {cell!r} as a float") from None
+
+
+def _grid(dt: float, t1: float, t0: float) -> list[float]:
+    """The grid times t0 + k dt, k = 0..n, with n dt the nearest to t1 - t0."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidConfigError(f"dt must be positive, got {dt}")
     if not t1 > t0:
         raise InvalidConfigError(f"t1 = {t1} must exceed t0 = {t0}")
-    return int(round((t1 - t0) / dt))
+    n = int(round((t1 - t0) / dt))
+    return (t0 + dt * np.arange(n + 1)).tolist()
 
 
 def propagate_quaternion(
@@ -158,27 +159,26 @@ def propagate_quaternion(
     if method not in ("rk4", "expmap"):
         raise InvalidConfigError(f"unknown method {method!r}")
     q = require_unit(q0).copy()
-    n = _check_grid(dt, t1, t0)
+    ts = _grid(dt, t1, t0)
     states = [AttitudeState(t0, q.copy(), profile(t0))]
-    t = t0
-    for k in range(n):
+    for t, t_next in pairwise(ts):
+        w = states[-1].w_body
         if method == "rk4":
             # The end-of-step rate is sampled just inside [t, t+dt) so a
             # zero-order-hold switch aligned with the grid belongs entirely
             # to the next step (negligible for smooth profiles).
             t_end = float(np.nextafter(t + dt, t))
-            k1 = 0.5 * _mul(q, _pure(profile(t)))
-            k2 = 0.5 * _mul(q + 0.5 * dt * k1, _pure(profile(t + 0.5 * dt)))
-            k3 = 0.5 * _mul(q + 0.5 * dt * k2, _pure(profile(t + 0.5 * dt)))
+            w_mid = _pure(profile(t + 0.5 * dt))
+            k1 = 0.5 * _mul(q, _pure(w))
+            k2 = 0.5 * _mul(q + 0.5 * dt * k1, w_mid)
+            k3 = 0.5 * _mul(q + 0.5 * dt * k2, w_mid)
             k4 = 0.5 * _mul(q + dt * k3, _pure(profile(t_end)))
             q = _unit(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         else:
-            w = profile(t)
             wn = float(np.linalg.norm(w))
             if wn > 0.0:
                 q = _mul(q, _from_axis_angle(w / wn, wn * dt))
-        t = t0 + (k + 1) * dt
-        states.append(AttitudeState(t, q.copy(), profile(t)))
+        states.append(AttitudeState(t_next, q.copy(), profile(t_next)))
     return states
 
 
@@ -193,18 +193,16 @@ def propagate_euler_321(
     """
     e = np.asarray(e0, dtype=float).copy()
     if e.shape != (3,):
-        raise ValueError(f"expected Euler angle triple, got shape {e.shape}")
-    n = _check_grid(dt, t1, t0)
+        raise InvalidConfigError(f"expected Euler angle triple, got shape {e.shape}")
+    ts = _grid(dt, t1, t0)
     states = [EulerState(t0, e[0], e[1], e[2], _conditioning(e[1]))]
-    t = t0
-    for k in range(n):
+    for t, t_next in pairwise(ts):
         try:
             rates = _euler_rates_321(e[0], e[1], profile(t), SINGULARITY_THRESHOLD)
         except GimbalLockError:
             return EulerTrajectory(states, gimbal_locked=True)
         e = e + dt * rates
-        t = t0 + (k + 1) * dt
-        states.append(EulerState(t, e[0], e[1], e[2], _conditioning(e[1])))
+        states.append(EulerState(t_next, e[0], e[1], e[2], _conditioning(e[1])))
     return EulerTrajectory(states, gimbal_locked=False)
 
 
@@ -224,6 +222,24 @@ def pitch_sweep_dt(pitch_rate: float = 0.5, target_dt: float = 1e-3) -> float:
     return (0.5 * math.pi) / (pitch_rate * n)
 
 
+def _planar_exact(theta0: float, omega0: float, k: float, c: float, t: np.ndarray):
+    """exp(A t) x0 = e^{mu t} (cosh(beta t) I + sinh(beta t)/beta (A - mu I)) x0 as (theta, omega).
+
+    mu = -c/2 and beta = sqrt(c^2/4 - k), imaginary when under-damped. Both terms are built
+    from e^{(mu +- beta) t}, whose exponents have negative real part: nothing overflows or cancels.
+    """
+    mu = -0.5 * c
+    beta = cmath.sqrt(0.25 * c * c - k)
+    slow = np.exp((mu + beta) * t)
+    e_cosh = (0.5 * (slow + np.exp((mu - beta) * t))).real
+    if beta == 0:
+        e_sinh = t * np.exp(mu * t)
+    else:
+        e_sinh = (slow * -np.expm1(-2.0 * beta * t) / (2.0 * beta)).real
+    theta = e_cosh * theta0 + e_sinh * (-mu * theta0 + omega0)
+    return theta, e_cosh * omega0 - e_sinh * (k * theta0 - mu * omega0)
+
+
 def simulate_unwinding(
     theta0: float,
     omega0: float,
@@ -232,44 +248,25 @@ def simulate_unwinding(
     dt: float,
     t1: float,
 ) -> tuple[list[PlanarState], UnwindingSummary]:
-    """Integrate the planar system thetadot = omega, omegadot = -k theta - c omega.
+    """Solve thetadot = omega, omegadot = -k theta - c omega exactly at each grid time.
 
-    The summary reports the total path length ∫|omega| dt next to the
+    The summary reports the path length ∫|omega| dt (trapezoid) next to the
     short-way distance on the circle, the gap between the two being the
     unwinding effect.
     """
     if not (k > 0.0 and c > 0.0):
         raise InvalidConfigError(f"gains must be positive, got k={k}, c={c}")
-    n = _check_grid(dt, t1, 0.0)
+    ts = _grid(dt, t1, 0.0)
+    theta, omega = _planar_exact(theta0, omega0, k, c, np.array(ts))
+    u = (-k * theta - c * omega).tolist()
+    states = list(map(PlanarState, ts, theta.tolist(), omega.tolist(), u))
 
-    def u_of(th: float, om: float) -> float:
-        return -k * th - c * om
-
-    theta, omega = float(theta0), float(omega0)
-    states = [PlanarState(0.0, theta, omega, u_of(theta, omega))]
-    path = 0.0
-    for i in range(n):
-        # RK4 on the linear state [theta, omega].
-        def f(th, om):
-            return om, u_of(th, om)
-
-        k1 = f(theta, omega)
-        k2 = f(theta + 0.5 * dt * k1[0], omega + 0.5 * dt * k1[1])
-        k3 = f(theta + 0.5 * dt * k2[0], omega + 0.5 * dt * k2[1])
-        k4 = f(theta + dt * k3[0], omega + dt * k3[1])
-        theta_next = theta + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        omega_next = omega + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        path += 0.5 * dt * (abs(omega) + abs(omega_next))
-        theta, omega = theta_next, omega_next
-        states.append(PlanarState((i + 1) * dt, theta, omega, u_of(theta, omega)))
-
-    wrapped = math.fmod(theta0, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
+    speed = np.abs(omega)
+    wrapped = theta0 % math.tau
     summary = UnwindingSummary(
-        final_theta=theta,
-        path_length=path,
-        short_way=min(wrapped, TWO_PI - wrapped),
+        final_theta=states[-1].theta,
+        path_length=0.5 * dt * float((speed[1:] + speed[:-1]).sum()),
+        short_way=min(wrapped, math.tau - wrapped),
     )
     return states, summary
 

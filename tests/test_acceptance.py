@@ -47,20 +47,17 @@ def test_criterion_02_oracle_triangle():
     rng = np.random.default_rng(SEED)
     qs = random_unit_quats(rng, 10_000)
     vs = rng.normal(size=(10_000, 3))
-    worst_fwd = worst_inv = 0.0
-    for q, v in zip(qs, vs):
-        aa = ak.to_axis_angle(q)
-        sandwich = ak.rotate_vector(q, v)
-        matrix = ak.to_rotation_matrix(q) @ v
-        rod = ak.rodrigues_rotate(aa.axis, aa.angle, v)
-        worst_fwd = max(
-            worst_fwd,
-            np.max(np.abs(sandwich - matrix)),
-            np.max(np.abs(sandwich - rod)),
-            np.max(np.abs(matrix - rod)),
-        )
-        rod_inv = ak.rodrigues_rotate(aa.axis, aa.angle, v, direction="global-to-local")
-        worst_inv = max(worst_inv, np.max(np.abs(rod_inv - ak.rotate_vector_inverse(q, v))))
+    aa = ak.to_axis_angle(qs)
+    sandwich = ak.rotate_vector(qs, vs)
+    matrix = np.einsum("nij,nj->ni", ak.to_rotation_matrix(qs), vs)
+    rod = ak.rodrigues_rotate(aa.axis, aa.angle, vs)
+    worst_fwd = max(
+        np.max(np.abs(sandwich - matrix)),
+        np.max(np.abs(sandwich - rod)),
+        np.max(np.abs(matrix - rod)),
+    )
+    rod_inv = ak.rodrigues_rotate(aa.axis, aa.angle, vs, direction="global-to-local")
+    worst_inv = np.max(np.abs(rod_inv - ak.rotate_vector_inverse(qs, vs)))
     assert worst_fwd < 1e-12
     assert worst_inv < 1e-12
     report(2, f"sandwich/matrix/Rodrigues triangle agrees ({worst_fwd:.2e}, inverse {worst_inv:.2e})")
@@ -86,23 +83,21 @@ def test_criterion_03_eg_identities():
 
 def test_criterion_04_derivative_equivalences():
     rng = np.random.default_rng(SEED + 4)
-    worst_forms = worst_recovery = 0.0
-    for q in random_unit_quats(rng, 10_000):
-        w_body = rng.normal(size=3)
-        w_world = ak.rotate_vector(q, w_body)
-        e, g = ak.eg_matrices(q)
-        qd = ak.qdot_from_body_rates(q, w_body)
-        for other in (
-            ak.qdot_from_world_rates(q, w_world),
-            0.5 * (g.T @ w_body),
-            0.5 * (e.T @ w_world),
-        ):
-            worst_forms = max(worst_forms, np.max(np.abs(other - qd)))
-        worst_recovery = max(
-            worst_recovery,
-            np.max(np.abs(ak.body_rates_from_qdot(q, qd) - w_body)),
-            np.max(np.abs(ak.world_rates_from_qdot(q, qd) - w_world)),
-        )
+    qs = random_unit_quats(rng, 10_000)
+    w_body = rng.normal(size=(10_000, 3))
+    w_world = ak.rotate_vector(qs, w_body)
+    e, g = ak.eg_matrices(qs)
+    qd = ak.qdot_from_body_rates(qs, w_body)
+    forms = (
+        ak.qdot_from_world_rates(qs, w_world),
+        0.5 * np.einsum("nij,ni->nj", g, w_body),  # G^T w_body
+        0.5 * np.einsum("nij,ni->nj", e, w_world),  # E^T w_world
+    )
+    worst_forms = max(np.max(np.abs(other - qd)) for other in forms)
+    worst_recovery = max(
+        np.max(np.abs(ak.body_rates_from_qdot(qs, qd) - w_body)),
+        np.max(np.abs(ak.world_rates_from_qdot(qs, qd) - w_world)),
+    )
     assert worst_forms < 1e-13
     assert worst_recovery < 1e-12
     report(4, f"four qdot forms agree ({worst_forms:.2e}); rate recovery inverts ({worst_recovery:.2e})")

@@ -199,6 +199,13 @@ class TestIntegrate:
         assert r.returncode == 2
         assert r.stderr == "error: sample times must be strictly increasing\n"
 
+    def test_bad_profile_cell_names_file_and_line_exit_2(self, tmp_path):
+        prof = tmp_path / "prof.csv"
+        prof.write_text("t,p,q,r\n0,0,0,0\n1,x,0,0\n")
+        r = run_cli("integrate", "--profile", str(prof), "--dt", "0.1", "--t1", "0.5")
+        assert r.returncode == 2
+        assert r.stderr == f"error: {prof} line 3: cannot parse 'x' as a float\n"
+
 
 class TestDemos:
     def test_unwinding_defaults_summary(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from attikit import (
     InvalidAxisError,
+    InvalidConfigError,
     InvalidRotationError,
     canonicalize,
     conjugate,
@@ -129,6 +130,10 @@ class TestRodrigues:
         # The v x n cross term gives the inverse rotation: x -> -y.
         out = rodrigues_rotate(Z_AXIS, math.pi / 2, [1, 0, 0], direction="global-to-local")
         assert np.allclose(out, [0, -1, 0], atol=1e-15)
+
+    def test_unknown_direction_typed(self):
+        with pytest.raises(InvalidConfigError, match="sideways"):
+            rodrigues_rotate(Z_AXIS, 1.0, [1, 0, 0], direction="sideways")
 
     def test_oracle_triangle(self, rng):
         for q in random_unit_quats(rng, 300):

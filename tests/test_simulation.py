@@ -6,6 +6,7 @@ import pytest
 from attikit import (
     InvalidConfigError,
     RateProfile,
+    conjugate,
     critically_damped_reference,
     from_axis_angle,
     normalized,
@@ -15,6 +16,7 @@ from attikit import (
     propagate_quaternion,
     pure,
     quat_mul,
+    rotate_vector_inverse,
     simulate_unwinding,
 )
 
@@ -63,8 +65,23 @@ class TestRateProfile:
     def test_csv_requires_header(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("0,0.1,0.2,0.3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError, match="bad.csv line 1: expected CSV header"):
             RateProfile.from_csv(f)
+
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            ("0,0.1,0.2,0.3\n1,x,0.5,0.6\n", "line 3: cannot parse 'x' as a float"),
+            ("0,0.1,0.2,0.3\n\n1,0.5,0.6\n", "line 4: expected 4 values, got 3"),
+        ],
+        ids=["cell", "short-row-after-blank"],
+    )
+    def test_csv_errors_typed_and_located(self, tmp_path, body, cause):
+        f = tmp_path / "profile.csv"
+        f.write_text("t,p,q,r\n" + body)
+        with pytest.raises(InvalidConfigError) as info:
+            RateProfile.from_csv(f)
+        assert str(info.value) == f"{f} {cause}"
 
 
 class TestPropagateQuaternion:
@@ -126,13 +143,58 @@ class TestPropagateQuaternion:
         with pytest.raises(InvalidConfigError):
             propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), -0.1, 1.0)
 
+    def test_grid_times_are_t0_plus_k_dt(self):
+        states = propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), 0.1, 1.0, t0=0.3)
+        assert [s.t for s in states] == [0.3] + [0.3 + k * 0.1 for k in range(1, 8)]
+
     @pytest.mark.parametrize("dt", [1e-3, 3.0], ids=["steps", "zero-steps"])
     def test_unknown_method_rejected(self, dt):
         with pytest.raises(InvalidConfigError, match="bogus"):
             propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), dt, 1.0, method="bogus")
 
 
+class TestConingOracle:
+    """Two constant-axis spins q(t) = E(a, t) ∘ E(b, t), E(v, t) = exp(½ v t).
+
+    The body rate w(t) = R(E(b, t))ᵀ a + b is smooth and time-varying, so this
+    checks RK4's order (Savage, JGCD 1998, two-axis coning).
+    """
+
+    A = np.array([0.3, -0.2, 0.5])
+    B = np.array([0.0, 0.0, 2.0])
+    DTS = (0.04, 0.02, 0.01, 0.005)
+
+    @staticmethod
+    def spin(v, t):
+        n = np.linalg.norm(v)
+        return from_axis_angle(v / n, n * t)
+
+    def errors(self, method):
+        profile = RateProfile(lambda t: rotate_vector_inverse(self.spin(self.B, t), self.A) + self.B)
+        out = []
+        for dt in self.DTS:
+            last = propagate_quaternion(IDENTITY, profile, dt, 10.0, method=method)[-1]
+            exact = quat_mul(self.spin(self.A, last.t), self.spin(self.B, last.t))
+            d = quat_mul(conjugate(exact), last.q)
+            out.append(2.0 * math.atan2(np.linalg.norm(d[1:]), abs(d[0])))
+        return np.array(out)
+
+    @pytest.mark.parametrize(
+        "method, ratio, tol, err_at_001",
+        [("rk4", 16.0, 0.5, 5.591e-9), ("expmap", 2.0, 0.1, 6.953e-4)],
+        ids=["rk4", "expmap"],
+    )
+    def test_convergence_order(self, method, ratio, tol, err_at_001):
+        err = self.errors(method)
+        assert np.all(np.abs(err[:-1] / err[1:] - ratio) <= tol), err
+        assert err[self.DTS.index(0.01)] == pytest.approx(err_at_001, rel=1e-3)
+
+
 class TestPropagateEuler321:
+    def test_e0_shape_typed(self):
+        with pytest.raises(InvalidConfigError, match="Euler angle triple"):
+            propagate_euler_321([0.1, 0.2], RateProfile.constant([0, 0, 0]), 0.1, 1.0)
+
     def test_zero_rates_constant(self):
         traj = propagate_euler_321([0.1, 0.2, 0.3], RateProfile.constant([0, 0, 0]), 0.1, 1.0)
         assert not traj.gimbal_locked
@@ -213,6 +275,27 @@ class TestUnwinding:
             if v_prev is not None:
                 assert v <= v_prev + 1e-9 * max(v_prev, 1.0)
             v_prev = v
+
+    @pytest.mark.parametrize(
+        "k, c, dt, t1",
+        [
+            (4.0, 1.5, 1e-3, 10.0),
+            (0.5, 3.0, 1e-3, 10.0),
+            (1.0 + 1e-12, 2.0, 1e-3, 10.0),
+            (1e-6, 2.0, 0.5, 2000.0),
+        ],
+        ids=["under-damped", "over-damped", "near-critical", "over-damped-long"],
+    )
+    def test_closed_form_matches_expm(self, k, c, dt, t1):
+        linalg = pytest.importorskip("scipy.linalg")
+        x0 = np.array([3.0, -1.0])
+        states, summary = simulate_unwinding(*x0, k, c, dt, t1)
+        got = np.array([(s.theta, s.omega) for s in states])
+        assert np.isfinite(got).all() and np.isfinite(summary).all()
+        a = np.array([[0.0, 1.0], [-k, -c]])
+        stride = max(1, len(states) // 400)
+        want = np.array([linalg.expm(a * s.t) @ x0 for s in states[::stride]])
+        np.testing.assert_allclose(got[::stride], want, rtol=0.0, atol=1e-12)
 
     def test_invalid_gains(self):
         with pytest.raises(InvalidConfigError):
