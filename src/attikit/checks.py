@@ -12,6 +12,7 @@ import numpy as np
 from .errors import (
     InconsistentRateError,
     InvalidAxisError,
+    InvalidConfigError,
     InvalidRotationError,
     NonFiniteInputError,
     NonUnitQuaternionError,
@@ -51,7 +52,7 @@ def finite(x, tail: tuple, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[x.ndim - len(tail) :] != tail:
         shape = ", ".join(map(str, ("...", *tail)))
-        raise ValueError(f"{what} must have shape ({shape}), got {x.shape}")
+        raise InvalidConfigError(f"{what} must have shape ({shape}), got {x.shape}")
     ok = np.isfinite(x).all(axis=tuple(range(x.ndim - len(tail), x.ndim)))
     reject(~ok, NonFiniteInputError, f"{what} has non-finite components: {{}}", x)
     return x

@@ -196,13 +196,10 @@ def cmd_rotate(args) -> int:
 
 
 def _load_profile(args) -> simulation.RateProfile:
-    if getattr(args, "profile", None):
-        if not os.path.exists(args.profile):
-            print(f"error: no such file: {args.profile}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE)
+    if args.profile:
         try:
             return simulation.RateProfile.from_csv(args.profile)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_PARSE)
     return simulation.RateProfile.constant(_parse_floats(args.rate, 3, "rate"))

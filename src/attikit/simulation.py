@@ -1,12 +1,11 @@
 """Attitude propagation and the gimbal-lock / unwinding demonstrations.
 
-Quaternion propagation offers two integrators: classic RK4 with per-step
-renormalization, and the exponential-map step
-
-    q_{k+1} = q_k ∘ (cos(|w| dt / 2), what sin(|w| dt / 2))
-
-which uses the rate at each interval start: exact, and the oracle for the
-RK4 path, only for piecewise-constant rates aligned with the grid.
+Quaternion propagation samples the profile on the grid once and composes
+per-step increments, q_{k+1} = q_k ∘ m_k (qdot = 1/2 q ∘ (0, w) is linear in
+q): classic RK4 from the identity with every product renormalized, or the
+exponential map m_k = (cos(|w| dt / 2), what sin(|w| dt / 2)), which uses
+the rate at each interval start: exact, and the oracle for the RK4 path,
+only for piecewise-constant rates aligned with the grid.
 
 The Euler-angle propagator deliberately keeps the angular position on the
 integration grid (explicit Euler), so when a trajectory is driven into the
@@ -24,12 +23,12 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _mul, _pure, _unit
+from .algebra import IDENTITY, _mul, _norm, _pure, _unit
 from .checks import SINGULARITY_THRESHOLD, require_unit
 from .conversions import _from_axis_angle
 from .errors import (
@@ -83,7 +82,7 @@ class RateProfile:
         self._func = func
 
     def __call__(self, t: float) -> np.ndarray:
-        w = np.asarray(self._func(t), dtype=float)
+        w = np.array(self._func(t), dtype=float)
         if w.shape != (3,):
             raise InvalidConfigError(f"rate profile must yield 3-vectors, got shape {w.shape}")
         if not np.isfinite(w).all():
@@ -92,14 +91,14 @@ class RateProfile:
 
     @classmethod
     def constant(cls, w) -> "RateProfile":
-        w = np.asarray(w, dtype=float).copy()
+        w = np.array(w, dtype=float)
         return cls(lambda t: w)
 
     @classmethod
     def from_samples(cls, times, rates) -> "RateProfile":
         """Zero-order hold over sample times; clamps outside the sampled span."""
-        times = np.asarray(times, dtype=float)
-        rates = np.asarray(rates, dtype=float)
+        times = np.array(times, dtype=float)
+        rates = np.array(rates, dtype=float)
         if times.ndim != 1 or rates.shape != (times.size, 3):
             raise InvalidConfigError("expected times (n,) and rates (n, 3)")
         if times.size == 0:
@@ -109,7 +108,7 @@ class RateProfile:
 
         def hold(t: float) -> np.ndarray:
             i = int(np.searchsorted(times, t, side="right")) - 1
-            return rates[max(0, min(i, times.size - 1))]
+            return rates[max(0, i)]
 
         return cls(hold)
 
@@ -137,49 +136,51 @@ def _parse_cell(cell: str, where: str) -> float:
         raise InvalidConfigError(f"{where}: cannot parse {cell!r} as a float") from None
 
 
-def _grid(dt: float, t1: float, t0: float) -> list[float]:
+def _grid(dt: float, t1: float, t0: float) -> np.ndarray:
     """The grid times t0 + k dt, k = 0..n, with n dt the nearest to t1 - t0."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidConfigError(f"dt must be positive, got {dt}")
     if not t1 > t0:
         raise InvalidConfigError(f"t1 = {t1} must exceed t0 = {t0}")
     n = int(round((t1 - t0) / dt))
-    return (t0 + dt * np.arange(n + 1)).tolist()
+    return t0 + dt * np.arange(n + 1)
+
+
+def _rates(profile: RateProfile, ts: np.ndarray) -> np.ndarray:
+    return np.array([profile(t) for t in ts.tolist()]).reshape(-1, 3)
 
 
 def propagate_quaternion(
     q0, profile: RateProfile, dt: float, t1: float, method: str = "rk4", t0: float = 0.0
 ) -> list[AttitudeState]:
-    """Integrate qdot = 1/2 q ∘ (0, w'(t)) on a fixed grid.
+    """Integrate qdot = 1/2 q ∘ (0, w'(t)) on a fixed grid as q_{k+1} = q_k ∘ m_k.
 
-    ``rk4`` renormalizes after every step; ``expmap`` composes exact
-    axis-angle steps using the rate at each interval start (exact for
-    piecewise-constant profiles aligned with the grid).
+    ``rk4`` builds m_k as an RK4 step from the identity and renormalizes each
+    product; ``expmap`` takes the exact axis-angle step of the rate at each
+    interval start (exact for piecewise-constant profiles aligned with the grid).
     """
     if method not in ("rk4", "expmap"):
         raise InvalidConfigError(f"unknown method {method!r}")
-    q = require_unit(q0).copy()
+    q0 = require_unit(q0)
     ts = _grid(dt, t1, t0)
-    states = [AttitudeState(t0, q.copy(), profile(t0))]
-    for t, t_next in pairwise(ts):
-        w = states[-1].w_body
-        if method == "rk4":
-            # The end-of-step rate is sampled just inside [t, t+dt) so a
-            # zero-order-hold switch aligned with the grid belongs entirely
-            # to the next step (negligible for smooth profiles).
-            t_end = float(np.nextafter(t + dt, t))
-            w_mid = _pure(profile(t + 0.5 * dt))
-            k1 = 0.5 * _mul(q, _pure(w))
-            k2 = 0.5 * _mul(q + 0.5 * dt * k1, w_mid)
-            k3 = 0.5 * _mul(q + 0.5 * dt * k2, w_mid)
-            k4 = 0.5 * _mul(q + dt * k3, _pure(profile(t_end)))
-            q = _unit(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        else:
-            wn = float(np.linalg.norm(w))
-            if wn > 0.0:
-                q = _mul(q, _from_axis_angle(w / wn, wn * dt))
-        states.append(AttitudeState(t_next, q.copy(), profile(t_next)))
-    return states
+    w = _rates(profile, ts)
+    if method == "rk4":
+        # The end-of-step rate is sampled just inside [t, t+dt) so a
+        # zero-order-hold switch aligned with the grid belongs entirely
+        # to the next step (negligible for smooth profiles).
+        t = ts[:-1]
+        w_mid = _pure(_rates(profile, t + 0.5 * dt))
+        k1 = 0.5 * _pure(w[:-1])
+        k2 = 0.5 * _mul(IDENTITY + 0.5 * dt * k1, w_mid)
+        k3 = 0.5 * _mul(IDENTITY + 0.5 * dt * k2, w_mid)
+        k4 = 0.5 * _mul(IDENTITY + dt * k3, _pure(_rates(profile, np.nextafter(t + dt, t))))
+        m = IDENTITY + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        qs = accumulate(m, lambda q, mk: _unit(_mul(q, mk)), initial=q0.copy())
+    else:
+        wn = _norm(w[:-1])
+        m = _from_axis_angle(w[:-1] / np.where(wn > 0.0, wn, 1.0)[:, None], wn * dt)
+        qs = accumulate(m, _mul, initial=q0.copy())
+    return list(map(AttitudeState, ts.tolist(), qs, w))
 
 
 def propagate_euler_321(
@@ -194,9 +195,8 @@ def propagate_euler_321(
     e = np.asarray(e0, dtype=float).copy()
     if e.shape != (3,):
         raise InvalidConfigError(f"expected Euler angle triple, got shape {e.shape}")
-    ts = _grid(dt, t1, t0)
     states = [EulerState(t0, e[0], e[1], e[2], _conditioning(e[1]))]
-    for t, t_next in pairwise(ts):
+    for t, t_next in pairwise(_grid(dt, t1, t0).tolist()):
         try:
             rates = _euler_rates_321(e[0], e[1], profile(t), SINGULARITY_THRESHOLD)
         except GimbalLockError:
@@ -257,9 +257,9 @@ def simulate_unwinding(
     if not (k > 0.0 and c > 0.0):
         raise InvalidConfigError(f"gains must be positive, got k={k}, c={c}")
     ts = _grid(dt, t1, 0.0)
-    theta, omega = _planar_exact(theta0, omega0, k, c, np.array(ts))
+    theta, omega = _planar_exact(theta0, omega0, k, c, ts)
     u = (-k * theta - c * omega).tolist()
-    states = list(map(PlanarState, ts, theta.tolist(), omega.tolist(), u))
+    states = list(map(PlanarState, ts.tolist(), theta.tolist(), omega.tolist(), u))
 
     speed = np.abs(omega)
     wrapped = theta0 % math.tau

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from attikit import (
     IDENTITY,
+    InvalidConfigError,
     NonFiniteInputError,
     SingularQuaternionError,
     canonicalize,
@@ -74,6 +75,10 @@ class TestQuatMul:
             quat_mul([np.nan, 0, 0, 0], IDENTITY)
         with pytest.raises(NonFiniteInputError):
             quat_mul(IDENTITY, [1, np.inf, 0, 0])
+
+    def test_rejects_wrong_shape_typed(self):
+        with pytest.raises(InvalidConfigError, match=r"must have shape \(\.\.\., 4\), got \(3,\)"):
+            quat_mul([1, 2, 3], IDENTITY)
 
 
 class TestConjugate:

@@ -191,6 +191,8 @@ class TestIntegrate:
     def test_missing_profile_exit_2(self):
         r = run_cli("integrate", "--profile", "/nonexistent.csv", "--dt", "0.1", "--t1", "1")
         assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: [Errno 2] No such file or directory: '/nonexistent.csv'\n"
 
     def test_non_increasing_profile_exit_2(self, tmp_path):
         prof = tmp_path / "prof.csv"

@@ -1,7 +1,9 @@
 import math
+from itertools import pairwise
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attikit import (
     InvalidConfigError,
@@ -19,6 +21,10 @@ from attikit import (
     rotate_vector_inverse,
     simulate_unwinding,
 )
+from attikit.algebra import _mul, _pure, _unit
+from attikit.checks import require_unit
+from attikit.conversions import _from_axis_angle
+from attikit.simulation import AttitudeState, _grid
 
 Z = np.array([0.0, 0.0, 1.0])
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -82,6 +88,23 @@ class TestRateProfile:
         with pytest.raises(InvalidConfigError) as info:
             RateProfile.from_csv(f)
         assert str(info.value) == f"{f} {cause}"
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda w: RateProfile.constant(w[0]), lambda w: RateProfile.from_samples([0.0, 0.2], w)],
+        ids=["constant", "samples"],
+    )
+    def test_shares_no_memory(self, make):
+        rates = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        p, ref = make(rates), make(rates.copy())
+        states = propagate_quaternion(IDENTITY, p, 0.1, 0.4, method="expmap")
+        states[0].w_body[:] = 99.0
+        p(0.3)[:] = 99.0
+        rates[:] = 99.0
+        for s in states[1:]:
+            assert np.array_equal(s.w_body, ref(s.t))
+        for t in (0.0, 0.1, 0.3):
+            assert np.array_equal(p(t), ref(t))
 
 
 class TestPropagateQuaternion:
@@ -151,6 +174,88 @@ class TestPropagateQuaternion:
     def test_unknown_method_rejected(self, dt):
         with pytest.raises(InvalidConfigError, match="bogus"):
             propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), dt, 1.0, method="bogus")
+
+
+def reference_propagate(q0, profile, dt, t1, method, t0):
+    """The per-step loop propagate_quaternion ran before its increments were batched."""
+    q = require_unit(q0).copy()
+    ts = _grid(dt, t1, t0).tolist()
+    states = [AttitudeState(t0, q.copy(), profile(t0))]
+    for t, t_next in pairwise(ts):
+        w = states[-1].w_body
+        if method == "rk4":
+            # The end-of-step rate is sampled just inside [t, t+dt) so a
+            # zero-order-hold switch aligned with the grid belongs entirely
+            # to the next step (negligible for smooth profiles).
+            t_end = float(np.nextafter(t + dt, t))
+            w_mid = _pure(profile(t + 0.5 * dt))
+            k1 = 0.5 * _mul(q, _pure(w))
+            k2 = 0.5 * _mul(q + 0.5 * dt * k1, w_mid)
+            k3 = 0.5 * _mul(q + 0.5 * dt * k2, w_mid)
+            k4 = 0.5 * _mul(q + dt * k3, _pure(profile(t_end)))
+            q = _unit(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        else:
+            wn = float(np.linalg.norm(w))
+            if wn > 0.0:
+                q = _mul(q, _from_axis_angle(w / wn, wn * dt))
+        states.append(AttitudeState(t_next, q.copy(), profile(t_next)))
+    return states
+
+
+DTS = (2.0**-10, 1e-3, 0.01)
+unit_quats = (
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda x: np.linalg.norm(x) > 0.1)
+    .map(lambda x: np.divide(x, np.linalg.norm(x)))
+)
+rate_rows = st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=3, max_size=3)
+
+
+@st.composite
+def zoh_runs(draw):
+    """(dt, t0, t1, profile): a 1-8 sample ZOH profile with switches on or off the grid."""
+    dt, t0 = draw(st.sampled_from(DTS)), draw(st.sampled_from([0.0, 0.3]))
+    t1 = draw(st.floats(t0 + 1e-3, 2.0))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        k = draw(st.lists(st.integers(0, round(2.0 / dt)), min_size=n, max_size=n, unique=True))
+        times = t0 + dt * np.sort(k)
+    else:
+        times = np.sort(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n, unique=True)))
+    rates = draw(st.lists(rate_rows, min_size=n, max_size=n))
+    return dt, t0, t1, RateProfile.from_samples(times, rates)
+
+
+def assert_matches_reference(q0, profile, dt, t1, method, t0):
+    new = propagate_quaternion(q0, profile, dt, t1, method=method, t0=t0)
+    ref = reference_propagate(q0, profile, dt, t1, method, t0)
+    assert [s.t for s in new] == [s.t for s in ref]
+    assert np.array_equal([s.w_body for s in new], [s.w_body for s in ref])
+    q, q_ref = np.array([s.q for s in new]), np.array([s.q for s in ref])
+    if method == "expmap":
+        assert np.array_equal(q, q_ref)
+    else:
+        assert np.abs(q - q_ref).max() <= 1e-13
+        assert np.abs(np.linalg.norm(q, axis=1) - 1.0).max() <= 1e-15
+    return new
+
+
+class TestBatchedIncrements:
+    """propagate_quaternion against the per-step loop it replaced."""
+
+    @settings(deadline=None)
+    @given(q0=unit_quats, run=zoh_runs(), method=st.sampled_from(["rk4", "expmap"]))
+    def test_matches_per_step_loop(self, q0, run, method):
+        dt, t0, t1, profile = run
+        assert_matches_reference(q0, profile, dt, t1, method, t0)
+
+    @pytest.mark.parametrize("method", ["rk4", "expmap"])
+    def test_zero_steps(self, method):
+        q0 = normalized([1.0, 2.0, 3.0, 4.0])
+        profile = RateProfile.constant([0.5, -1.0, 2.0])
+        states = assert_matches_reference(q0, profile, 3.0, 1.0, method, 0.3)
+        assert len(states) == 1
+        assert np.array_equal(states[0].q, q0) and np.array_equal(states[0].w_body, [0.5, -1.0, 2.0])
 
 
 class TestConingOracle:
