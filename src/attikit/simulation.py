@@ -5,12 +5,16 @@ per-step increments, q_{k+1} = q_k ∘ m_k (qdot = 1/2 q ∘ (0, w) is linear in
 q): classic RK4 from the identity with every product renormalized, or the
 exponential map m_k = (cos(|w| dt / 2), what sin(|w| dt / 2)), which uses
 the rate at each interval start: exact, and the oracle for the RK4 path,
-only for piecewise-constant rates aligned with the grid.
+only for piecewise-constant rates aligned with the grid. The increments are
+array passes; the serial fold runs on Python floats, summing _mul's terms in
+its order, so it rounds exactly like _mul. RK4 renormalizes by a plain sum of
+squares, where _unit's dot product is a fused multiply-add chain that Python
+floats cannot reproduce.
 
 The Euler-angle propagator deliberately keeps the angular position on the
 integration grid (explicit Euler), so when a trajectory is driven into the
 pitch singularity the flagged halt happens at a state actually visited, with
-its conditioning recorded.
+its conditioning recorded. Its steps run on Python floats as well.
 
 The planar unwinding system keeps theta on the real line on purpose: the
 controller u = -k theta - c omega lives on the covering space while the
@@ -20,6 +24,7 @@ around from theta = 2*pi - eps. Being linear, it is solved in closed form.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import csv
 import math
@@ -28,15 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import IDENTITY, _mul, _norm, _pure, _unit
-from .checks import SINGULARITY_THRESHOLD, require_unit
+from .algebra import IDENTITY, _mul, _norm, _pure
+from .checks import SINGULARITY_THRESHOLD, reject, require_unit
 from .conversions import _from_axis_angle
-from .errors import (
-    GimbalLockError,
-    InvalidConfigError,
-    NonFiniteInputError,
-)
-from .kinematics import _conditioning, _euler_rates_321
+from .errors import InvalidConfigError, NonFiniteInputError
 
 
 class AttitudeState(NamedTuple):
@@ -85,7 +85,7 @@ class RateProfile:
         w = np.array(self._func(t), dtype=float)
         if w.shape != (3,):
             raise InvalidConfigError(f"rate profile must yield 3-vectors, got shape {w.shape}")
-        if not np.isfinite(w).all():
+        if not all(map(math.isfinite, w.tolist())):
             raise NonFiniteInputError(f"rate profile non-finite at t={t}: {w}")
         return w
 
@@ -103,12 +103,13 @@ class RateProfile:
             raise InvalidConfigError("expected times (n,) and rates (n, 3)")
         if times.size == 0:
             raise InvalidConfigError("empty rate profile")
+        reject(~np.isfinite(times), NonFiniteInputError, "non-finite sample time {}", times)
         if np.any(np.diff(times) <= 0):
             raise InvalidConfigError("sample times must be strictly increasing")
+        starts = times.tolist()
 
         def hold(t: float) -> np.ndarray:
-            i = int(np.searchsorted(times, t, side="right")) - 1
-            return rates[max(0, i)]
+            return rates[max(0, bisect.bisect_right(starts, t) - 1)]
 
         return cls(hold)
 
@@ -147,7 +148,39 @@ def _grid(dt: float, t1: float, t0: float) -> np.ndarray:
 
 
 def _rates(profile: RateProfile, ts: np.ndarray) -> np.ndarray:
-    return np.array([profile(t) for t in ts.tolist()]).reshape(-1, 3)
+    return np.fromiter(map(profile, ts.tolist()), np.dtype((float, 3)), ts.size)
+
+
+def _hamilton(a, b):
+    """_mul of two float 4-tuples, rounded alike: its terms in its order, summed from +0.0."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        0.0 + a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        0.0 + a1 * b0 + a0 * b1 + a2 * b3 - a3 * b2,
+        0.0 + a2 * b0 + a0 * b2 + a3 * b1 - a1 * b3,
+        0.0 + a3 * b0 + a0 * b3 + a1 * b2 - a2 * b1,
+    )
+
+
+def _hamilton_unit(a, b):
+    p0, p1, p2, p3 = _hamilton(a, b)
+    s = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+    return p0 / s, p1 / s, p2 / s, p3 / s
+
+
+def _rk4_increments(profile: RateProfile, ts: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+    """m_k = 1 + dt/6 (k1 + 2 k2 + 2 k3 + k4) of one RK4 step from the identity per interval."""
+    # The end-of-step rate is sampled just inside [t, t+dt) so a
+    # zero-order-hold switch aligned with the grid belongs entirely
+    # to the next step (negligible for smooth profiles).
+    t = ts[:-1]
+    w_mid = _pure(_rates(profile, t + 0.5 * dt))
+    k1 = 0.5 * _pure(w[:-1])
+    k2 = 0.5 * _mul(IDENTITY + 0.5 * dt * k1, w_mid)
+    k3 = 0.5 * _mul(IDENTITY + 0.5 * dt * k2, w_mid)
+    k4 = 0.5 * _mul(IDENTITY + dt * k3, _pure(_rates(profile, np.nextafter(t + dt, t))))
+    return IDENTITY + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def propagate_quaternion(
@@ -158,6 +191,8 @@ def propagate_quaternion(
     ``rk4`` builds m_k as an RK4 step from the identity and renormalizes each
     product; ``expmap`` takes the exact axis-angle step of the rate at each
     interval start (exact for piecewise-constant profiles aligned with the grid).
+    The fold runs on Python floats: expmap's products round exactly as _mul's,
+    and RK4's renormalization divides by the square root of a plain sum of squares.
     """
     if method not in ("rk4", "expmap"):
         raise InvalidConfigError(f"unknown method {method!r}")
@@ -165,21 +200,14 @@ def propagate_quaternion(
     ts = _grid(dt, t1, t0)
     w = _rates(profile, ts)
     if method == "rk4":
-        # The end-of-step rate is sampled just inside [t, t+dt) so a
-        # zero-order-hold switch aligned with the grid belongs entirely
-        # to the next step (negligible for smooth profiles).
-        t = ts[:-1]
-        w_mid = _pure(_rates(profile, t + 0.5 * dt))
-        k1 = 0.5 * _pure(w[:-1])
-        k2 = 0.5 * _mul(IDENTITY + 0.5 * dt * k1, w_mid)
-        k3 = 0.5 * _mul(IDENTITY + 0.5 * dt * k2, w_mid)
-        k4 = 0.5 * _mul(IDENTITY + dt * k3, _pure(_rates(profile, np.nextafter(t + dt, t))))
-        m = IDENTITY + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        qs = accumulate(m, lambda q, mk: _unit(_mul(q, mk)), initial=q0.copy())
+        m, step = _rk4_increments(profile, ts, w, dt), _hamilton_unit
     else:
         wn = _norm(w[:-1])
         m = _from_axis_angle(w[:-1] / np.where(wn > 0.0, wn, 1.0)[:, None], wn * dt)
-        qs = accumulate(m, _mul, initial=q0.copy())
+        step = _hamilton
+    qs = accumulate(m.tolist(), step, initial=tuple(q0.tolist()))
+    qs = np.fromiter(qs, np.dtype((float, 4)), ts.size)
+    del m  # the increments are not kept alongside the states
     return list(map(AttitudeState, ts.tolist(), qs, w))
 
 
@@ -191,18 +219,32 @@ def propagate_euler_321(
     Steps with explicit Euler so rates are only ever evaluated at emitted
     states; when the inversion hits the pitch singularity the trajectory is
     flagged and halted at the last reachable state rather than crashing.
+    Non-finite angles, given or reached by overflow, raise NonFiniteInputError.
     """
-    e = np.asarray(e0, dtype=float).copy()
+    e = np.asarray(e0, dtype=float)
     if e.shape != (3,):
         raise InvalidConfigError(f"expected Euler angle triple, got shape {e.shape}")
-    states = [EulerState(t0, e[0], e[1], e[2], _conditioning(e[1]))]
+    if not np.isfinite(e).all():
+        raise NonFiniteInputError(f"Euler angles must be finite, got {e.tolist()}")
+    phi, theta, psi = e.tolist()
+    cth = math.cos(theta)
+    # No finite double has cos(theta) == 0: at the one nearest pi/2, 1/|cos| is ~1.6e16.
+    states = [EulerState(t0, phi, theta, psi, 1.0 / abs(cth))]
     for t, t_next in pairwise(_grid(dt, t1, t0).tolist()):
-        try:
-            rates = _euler_rates_321(e[0], e[1], profile(t), SINGULARITY_THRESHOLD)
-        except GimbalLockError:
+        p, q, r = profile(t).tolist()
+        if abs(cth) <= SINGULARITY_THRESHOLD:
             return EulerTrajectory(states, gimbal_locked=True)
-        e = e + dt * rates
-        states.append(EulerState(t_next, e[0], e[1], e[2], _conditioning(e[1])))
+        # Rows [1, sphi tth, cphi tth], [0, cphi, -sphi], [0, sphi/cth, cphi/cth] times w.
+        # np.tan keeps each step equal to the array kernel's; math.tan rounds ~0.5 % of angles
+        # differently.
+        sphi, cphi = math.sin(phi), math.cos(phi)
+        u = sphi * q + cphi * r
+        phi += dt * (p + float(np.tan(theta)) * u)
+        theta, psi = theta + dt * (cphi * q - sphi * r), psi + dt * (u / cth)
+        if not (math.isfinite(phi) and math.isfinite(theta) and math.isfinite(psi)):
+            raise NonFiniteInputError(f"Euler angles overflow at t={t_next}: {[phi, theta, psi]}")
+        cth = math.cos(theta)
+        states.append(EulerState(t_next, phi, theta, psi, 1.0 / abs(cth)))
     return EulerTrajectory(states, gimbal_locked=False)
 
 

@@ -201,6 +201,14 @@ class TestIntegrate:
         assert r.returncode == 2
         assert r.stderr == "error: sample times must be strictly increasing\n"
 
+    def test_nan_profile_time_exit_2(self, tmp_path):
+        prof = tmp_path / "prof.csv"
+        prof.write_text("t,p,q,r\n0,0,0,0\nnan,1,0,0\n1,0,1,0\n")
+        r = run_cli("integrate", "--profile", str(prof), "--dt", "0.1", "--t1", "0.5")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: non-finite sample time nan at row 1\n"
+
     def test_bad_profile_cell_names_file_and_line_exit_2(self, tmp_path):
         prof = tmp_path / "prof.csv"
         prof.write_text("t,p,q,r\n0,0,0,0\n1,x,0,0\n")
@@ -239,6 +247,13 @@ class TestDemos:
         assert float(last["conditioning"]) > 1e8
         assert last["flag"] == "1"
         assert float(last["theta"]) == pytest.approx(math.pi / 2, abs=1e-6)
+
+    @pytest.mark.parametrize("e0", ["nan,0,0", "0,inf,0"])
+    def test_gimbal_lock_non_finite_e0_exit_3(self, e0):
+        r = run_cli("demo-gimbal-lock", "--e0", e0)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: Euler angles must be finite")
 
     def test_demos_deterministic(self, tmp_path):
         outputs = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import pairwise
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attikit import (
+    GimbalLockError,
     InvalidConfigError,
+    NonFiniteInputError,
     RateProfile,
     conjugate,
     critically_damped_reference,
@@ -22,9 +25,10 @@ from attikit import (
     simulate_unwinding,
 )
 from attikit.algebra import _mul, _pure, _unit
-from attikit.checks import require_unit
+from attikit.checks import SINGULARITY_THRESHOLD, require_unit
 from attikit.conversions import _from_axis_angle
-from attikit.simulation import AttitudeState, _grid
+from attikit.kinematics import _conditioning, _euler_rates_321
+from attikit.simulation import AttitudeState, EulerState, EulerTrajectory, _grid, _hamilton
 
 Z = np.array([0.0, 0.0, 1.0])
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -67,6 +71,25 @@ class TestRateProfile:
     def test_from_samples_errors_typed(self, times, rates, cause):
         with pytest.raises(InvalidConfigError, match=cause):
             RateProfile.from_samples(times, rates)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_time_rejected(self, bad):
+        with pytest.raises(NonFiniteInputError, match=f"^non-finite sample time {bad} at row 1$"):
+            RateProfile.from_samples([0.0, bad, 1.0], np.eye(3))
+
+    @settings(deadline=None)
+    @given(
+        times=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8, unique=True).map(sorted),
+        data=st.data(),
+    )
+    def test_hold_is_searchsorted_right(self, times, data):
+        rates = np.arange(3.0 * len(times)).reshape(-1, 3)
+        span = st.floats(times[0] - 1.0, times[-1] + 1.0)
+        t = data.draw(st.one_of(st.sampled_from(times), span), label="t")
+        p = RateProfile.from_samples(times, rates)
+        for s in (t, times[0] - 1.0, times[-1] + 1.0):
+            i = max(0, int(np.searchsorted(times, s, side="right")) - 1)
+            assert np.array_equal(p(s), rates[i])
 
     def test_csv_requires_header(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -337,6 +360,135 @@ class TestPropagateEuler321:
             )
             angle_err = 2.0 * math.atan2(np.linalg.norm(delta[1:]), abs(delta[0]))
             assert angle_err <= 1e-4
+
+
+finite_components = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e150, -1e150]),
+    st.floats(-1e150, 1e150),
+)
+quadruples = st.tuples(*[finite_components] * 4)
+
+
+class TestFloatFold:
+    @given(a=quadruples, b=quadruples)
+    def test_hamilton_is_mul_bit_for_bit(self, a, b):
+        got, want = np.array(_hamilton(a, b)), _mul(np.array(a), np.array(b))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize(
+        "method, peak_per_state", [("rk4", 520), ("expmap", 441)], ids=["rk4", "expmap"]
+    )
+    def test_transient_memory(self, method, peak_per_state):
+        q0, profile = normalized([1.0, 2.0, 3.0, 4.0]), RateProfile.constant([0.3, -1.1, 1.7])
+        dt = 2.0**-10
+        propagate_quaternion(q0, profile, dt, 4.0, method=method)  # warm caches first
+        tracemalloc.start()
+        try:
+            states = propagate_quaternion(q0, profile, dt, 4.0, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 4097
+        assert peak / len(states) <= peak_per_state
+
+
+def reference_euler_321(e0, profile, dt, t1, t0=0.0):
+    """The NumPy per-step loop propagate_euler_321 ran before it stepped on floats."""
+    e = np.asarray(e0, dtype=float).copy()
+    states = [EulerState(t0, e[0], e[1], e[2], _conditioning(e[1]))]
+    for t, t_next in pairwise(_grid(dt, t1, t0).tolist()):
+        try:
+            rates = _euler_rates_321(e[0], e[1], profile(t), SINGULARITY_THRESHOLD)
+        except GimbalLockError:
+            return EulerTrajectory(states, gimbal_locked=True)
+        e = e + dt * rates
+        states.append(EulerState(t_next, e[0], e[1], e[2], _conditioning(e[1])))
+    return EulerTrajectory(states, gimbal_locked=False)
+
+
+def assert_euler_matches_reference(e0, profile, dt, t1, t0=0.0):
+    new = propagate_euler_321(e0, profile, dt, t1, t0)
+    ref = reference_euler_321(e0, profile, dt, t1, t0)
+    assert new.gimbal_locked == ref.gimbal_locked
+    assert np.array_equal(np.array(new.states), np.array(ref.states))
+    return new
+
+
+euler_angles = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).map(
+    lambda e: [e[0], 0.5 * e[1], e[2]]
+)
+
+
+class TestEulerFloatSteps:
+    """propagate_euler_321 against the NumPy per-step loop it replaced."""
+
+    @settings(deadline=None)
+    @given(e0=euler_angles, run=zoh_runs())
+    def test_zero_order_hold(self, e0, run):
+        dt, t0, t1, profile = run
+        assert_euler_matches_reference(e0, profile, dt, t1, t0)
+
+    @settings(deadline=None)
+    @given(e0=euler_angles, a=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    def test_smooth(self, e0, a):
+        profile = RateProfile(lambda t: [a[0] * math.sin(t), a[1] + math.cos(3.0 * t), a[2] * t])
+        assert_euler_matches_reference(e0, profile, 1e-3, 2.0)
+
+    @pytest.mark.parametrize("rate", [0.5, 20.0, -3.0])
+    def test_sweep_to_lock(self, rate):
+        traj = assert_euler_matches_reference(
+            [0.0, 0.0, -0.2], pitch_sweep_profile(rate), pitch_sweep_dt(abs(rate), 1e-3), 4.0
+        )
+        assert traj.gimbal_locked and traj.states[-1].conditioning > 1e8
+
+    def test_zero_steps(self):
+        traj = assert_euler_matches_reference([0.1, 0.2, 0.3], pitch_sweep_profile(), 3.0, 1.0, 0.3)
+        assert traj.states == [EulerState(0.3, 0.1, 0.2, 0.3, 1.0 / abs(math.cos(0.2)))]
+
+    def test_profile_error_at_the_lock_step_is_raised(self):
+        dt = pitch_sweep_dt(0.5, 1e-3)
+        t_lock = propagate_euler_321([0, 0, 0], pitch_sweep_profile(0.5), dt, 4.0).states[-1].t
+        profile = RateProfile(lambda t: [0.0, 0.5, 0.0] if t < t_lock else [math.nan, 0.0, 0.0])
+        for run in (propagate_euler_321, reference_euler_321):
+            with pytest.raises(NonFiniteInputError, match=f"t={t_lock}"):
+                run([0, 0, 0], profile, dt, 4.0)
+
+    @pytest.mark.parametrize("w", [[1e308, 0.0, 0.0], [0.0, 0.0, 1e308]], ids=["phi", "psi"])
+    def test_overflow_typed(self, w):
+        with pytest.raises(NonFiniteInputError, match=r"Euler angles overflow at t=10\.0: "):
+            propagate_euler_321([0.0, 0.0, 0.0], RateProfile.constant(w), 10.0, 30.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_e0_typed(self, bad):
+        with pytest.raises(NonFiniteInputError, match="Euler angles"):
+            propagate_euler_321([0.0, bad, 0.0], pitch_sweep_profile(), 0.1, 1.0)
+
+
+def spike(bad):
+    """Rates that are finite except at t = 0.5, a grid time for dt = 0.125."""
+    return RateProfile(lambda t: [bad, 0.0, 0.0] if t == 0.5 else [0.1, 0.2, 0.3])
+
+
+PROPAGATORS = {
+    "rk4": lambda profile: propagate_quaternion(IDENTITY, profile, 0.125, 1.0, method="rk4"),
+    "expmap": lambda profile: propagate_quaternion(IDENTITY, profile, 0.125, 1.0, method="expmap"),
+    "euler321": lambda profile: propagate_euler_321([0.0, 0.0, 0.0], profile, 0.125, 1.0),
+}
+
+
+class TestProfileChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("run", PROPAGATORS.values(), ids=PROPAGATORS)
+    def test_non_finite_rate_names_the_time(self, run, bad):
+        with pytest.raises(NonFiniteInputError, match=r"non-finite at t=0\.5: "):
+            run(spike(bad))
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), ()])
+    @pytest.mark.parametrize("run", PROPAGATORS.values(), ids=PROPAGATORS)
+    def test_shape_error_typed(self, run, shape):
+        with pytest.raises(InvalidConfigError, match="3-vectors"):
+            run(RateProfile(lambda t: np.zeros(shape)))
 
 
 class TestUnwinding:
