@@ -1,8 +1,9 @@
 """Quaternion kinematics: rates, the E/G matrices, and propagation.
 
-Propagates a tumbling body under a constant body rate with both the RK4
-integrator and the exact exponential-map stepper, then recovers the body
-rates from finite-difference quaternion derivatives.
+Propagates a tumbling body under a constant body rate with both the
+fourth-order ``rk4`` method (the commutator-free step CF4) and the exact
+exponential-map stepper, then recovers the body rates from finite-difference
+quaternion derivatives.
 """
 
 import numpy as np

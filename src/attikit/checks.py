@@ -2,10 +2,13 @@
 
 Each checker takes a single value or a stack of them (any leading batch
 shape), returns it as a float array, and raises a typed error. For a stack
-the message names the first offending row.
+the message names the first offending row. ``require_finite`` checks named
+scalar run parameters and names the first bad one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .errors import (
 )
 
 UNIT_TOLERANCE = 1e-9  # admitted | |q| - 1 | of a unit quaternion
+CLI_UNIT_TOLERANCE = 1e-6  # admitted | |q| - 1 | of a hand-typed CLI quaternion or axis, then normalized
 DEGENERATE_NORM_THRESHOLD = 1e-12  # |q| at or below this cannot be inverted or normalized
 AXIS_TOLERANCE = 1e-9  # admitted | |n| - 1 | of a rotation axis
 ROTATION_TOLERANCE = 1e-6  # admitted max |R'R - I| and |det R - 1| of a rotation matrix
@@ -45,6 +49,13 @@ def reject(bad, error, message: str, values) -> None:
     i = np.unravel_index(np.argmax(bad), bad.shape)
     row = int(i[0]) if bad.ndim == 1 else tuple(map(int, i))
     raise error(f"{message.format(values[i].tolist())} at row {row}")
+
+
+def require_finite(error, **values: float) -> None:
+    """Raise ``error`` naming the first of the named scalar parameters that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
 
 
 def finite(x, tail: tuple, what: str) -> np.ndarray:

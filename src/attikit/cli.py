@@ -28,8 +28,6 @@ import numpy as np
 from . import algebra, checks, conversions, simulation
 from .errors import AttitudeError
 
-CLI_UNIT_TOLERANCE = 1e-6  # looser than the library: hand-typed quats get normalized
-
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 
@@ -72,7 +70,7 @@ def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
 
 
 def _parse_unit_quat(text: str, what: str = "quaternion") -> np.ndarray:
-    q = checks.require_unit(_parse_floats(text, 4, what), CLI_UNIT_TOLERANCE, what)
+    q = checks.require_unit(_parse_floats(text, 4, what), checks.CLI_UNIT_TOLERANCE, what)
     return algebra.normalized(q)
 
 
@@ -132,7 +130,7 @@ def _decode_to_quat(repr_name: str, value: str, unit: str) -> np.ndarray:
         return conversions.from_rotation_matrix(r)
     if repr_name == "axis-angle":
         v = _parse_floats(value, 4, "axis-angle")
-        axis = checks.require_unit_axis(v[:3], CLI_UNIT_TOLERANCE)
+        axis = checks.require_unit_axis(v[:3], checks.CLI_UNIT_TOLERANCE)
         return conversions.from_axis_angle(axis / np.linalg.norm(axis), _angle_in(v[3], unit))
     if repr_name == "euler-xyz":
         e = _parse_floats(value, 3, "euler-xyz")
@@ -293,7 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rate", help="constant body rate 'p,q,r'")
     c.add_argument("--dt", type=float, required=True)
     c.add_argument("--t1", type=float, required=True)
-    c.add_argument("--method", choices=("rk4", "expmap"), default="rk4")
+    c.add_argument(
+        "--method", choices=("rk4", "expmap"), default="rk4",
+        help="rk4: the commutator-free fourth-order step CF4 (two exponential maps per step; "
+        "it keeps the name rk4); expmap: one exponential map of the rate at each step start",
+    )
     c.add_argument("--output", help="trajectory CSV file (default: stdout)")
     _add_common(c, output_format=False)
     c.set_defaults(func=cmd_integrate)

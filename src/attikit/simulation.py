@@ -2,14 +2,13 @@
 
 Quaternion propagation samples the profile on the grid once and composes
 per-step increments, q_{k+1} = q_k ∘ m_k (qdot = 1/2 q ∘ (0, w) is linear in
-q): classic RK4 from the identity with every product renormalized, or the
-exponential map m_k = (cos(|w| dt / 2), what sin(|w| dt / 2)), which uses
-the rate at each interval start: exact, and the oracle for the RK4 path,
-only for piecewise-constant rates aligned with the grid. The increments are
-array passes; the serial fold runs on Python floats, summing _mul's terms in
-its order, so it rounds exactly like _mul. RK4 renormalizes by a plain sum of
-squares, where _unit's dot product is a fused multiply-add chain that Python
-floats cannot reproduce.
+q), built from exponential maps E(w dt) = (cos(|w| dt / 2), what sin(|w| dt / 2)).
+``expmap`` takes E(w dt) of the rate at each interval start: exact only for
+piecewise-constant rates aligned with the grid. ``rk4`` keeps its name but is
+the commutator-free fourth-order step CF4 (Celledoni, Marthinsen & Owren, FGCS
+2003), E((a2 w1 + a1 w2) dt) ∘ E((a1 w1 + a2 w2) dt) with a1,2 = (3 ∓ 2√3)/12
+and w1, w2 the rates at the two Gauss nodes: exact wherever expmap is. The increments are array passes; the
+serial fold runs on Python floats, in _mul's order, so it rounds like _mul.
 
 The Euler-angle propagator deliberately keeps the angular position on the
 integration grid (explicit Euler), so when a trajectory is driven into the
@@ -33,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import IDENTITY, _mul, _norm, _pure
-from .checks import SINGULARITY_THRESHOLD, reject, require_unit
+from .algebra import _mul, _norm, _unit
+from .checks import SINGULARITY_THRESHOLD, reject, require_finite, require_unit
 from .conversions import _from_axis_angle
 from .errors import InvalidConfigError, NonFiniteInputError
 
@@ -141,6 +140,7 @@ def _grid(dt: float, t1: float, t0: float) -> np.ndarray:
     """The grid times t0 + k dt, k = 0..n, with n dt the nearest to t1 - t0."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidConfigError(f"dt must be positive, got {dt}")
+    require_finite(InvalidConfigError, t0=t0, t1=t1)
     if not t1 > t0:
         raise InvalidConfigError(f"t1 = {t1} must exceed t0 = {t0}")
     n = int(round((t1 - t0) / dt))
@@ -163,24 +163,10 @@ def _hamilton(a, b):
     )
 
 
-def _hamilton_unit(a, b):
-    p0, p1, p2, p3 = _hamilton(a, b)
-    s = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
-    return p0 / s, p1 / s, p2 / s, p3 / s
-
-
-def _rk4_increments(profile: RateProfile, ts: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """m_k = 1 + dt/6 (k1 + 2 k2 + 2 k3 + k4) of one RK4 step from the identity per interval."""
-    # The end-of-step rate is sampled just inside [t, t+dt) so a
-    # zero-order-hold switch aligned with the grid belongs entirely
-    # to the next step (negligible for smooth profiles).
-    t = ts[:-1]
-    w_mid = _pure(_rates(profile, t + 0.5 * dt))
-    k1 = 0.5 * _pure(w[:-1])
-    k2 = 0.5 * _mul(IDENTITY + 0.5 * dt * k1, w_mid)
-    k3 = 0.5 * _mul(IDENTITY + 0.5 * dt * k2, w_mid)
-    k4 = 0.5 * _mul(IDENTITY + dt * k3, _pure(_rates(profile, np.nextafter(t + dt, t))))
-    return IDENTITY + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _exp(w: np.ndarray, dt: float) -> np.ndarray:
+    """E(w dt) per row of w: the rotation by |w| dt about w, the identity where w = 0."""
+    wn = _norm(w)
+    return _from_axis_angle(w / np.where(wn > 0.0, wn, 1.0)[:, None], wn * dt)
 
 
 def propagate_quaternion(
@@ -188,11 +174,11 @@ def propagate_quaternion(
 ) -> list[AttitudeState]:
     """Integrate qdot = 1/2 q ∘ (0, w'(t)) on a fixed grid as q_{k+1} = q_k ∘ m_k.
 
-    ``rk4`` builds m_k as an RK4 step from the identity and renormalizes each
-    product; ``expmap`` takes the exact axis-angle step of the rate at each
-    interval start (exact for piecewise-constant profiles aligned with the grid).
-    The fold runs on Python floats: expmap's products round exactly as _mul's,
-    and RK4's renormalization divides by the square root of a plain sum of squares.
+    ``expmap`` steps by the exact rotation of the rate at each interval start.
+    ``rk4`` keeps its name but takes the commutator-free fourth-order step CF4
+    from the rates at the Gauss nodes t + (1/2 ∓ √3/6) dt, three profile samples
+    per step as classic RK4 took. Its states 1…n are divided by their norms once,
+    which equals renormalizing every step because the fold is linear in q.
     """
     if method not in ("rk4", "expmap"):
         raise InvalidConfigError(f"unknown method {method!r}")
@@ -200,14 +186,17 @@ def propagate_quaternion(
     ts = _grid(dt, t1, t0)
     w = _rates(profile, ts)
     if method == "rk4":
-        m, step = _rk4_increments(profile, ts, w, dt), _hamilton_unit
+        t, c = ts[:-1], math.sqrt(3.0) / 6.0
+        w1, w2 = _rates(profile, t + (0.5 - c) * dt), _rates(profile, t + (0.5 + c) * dt)
+        a1, a2 = 0.25 - c, 0.25 + c  # (3 ∓ 2√3) / 12
+        m = _mul(_exp(a2 * w1 + a1 * w2, dt), _exp(a1 * w1 + a2 * w2, dt))
     else:
-        wn = _norm(w[:-1])
-        m = _from_axis_angle(w[:-1] / np.where(wn > 0.0, wn, 1.0)[:, None], wn * dt)
-        step = _hamilton
-    qs = accumulate(m.tolist(), step, initial=tuple(q0.tolist()))
+        m = _exp(w[:-1], dt)
+    qs = accumulate(m.tolist(), _hamilton, initial=tuple(q0.tolist()))
     qs = np.fromiter(qs, np.dtype((float, 4)), ts.size)
     del m  # the increments are not kept alongside the states
+    if method == "rk4":
+        qs[1:] = _unit(qs[1:])
     return list(map(AttitudeState, ts.tolist(), qs, w))
 
 
@@ -258,10 +247,14 @@ def pitch_sweep_dt(pitch_rate: float = 0.5, target_dt: float = 1e-3) -> float:
 
     Snapping the grid onto the singular pitch angle lets the gimbal-lock
     demo halt with the conditioning metric actually blown up (>1e8) instead
-    of stepping over the singularity.
+    of stepping over the singularity; a negative rate lands on -pi/2.
     """
-    n = max(1, round((0.5 * math.pi) / (pitch_rate * target_dt)))
-    return (0.5 * math.pi) / (pitch_rate * n)
+    if not (pitch_rate != 0.0 and math.isfinite(pitch_rate)):
+        raise InvalidConfigError(f"pitch_rate must be finite and nonzero, got {pitch_rate}")
+    if not (target_dt > 0.0 and math.isfinite(target_dt)):
+        raise InvalidConfigError(f"dt must be positive, got {target_dt}")
+    n = max(1, round((0.5 * math.pi) / (abs(pitch_rate) * target_dt)))
+    return (0.5 * math.pi) / (abs(pitch_rate) * n)
 
 
 def _planar_exact(theta0: float, omega0: float, k: float, c: float, t: np.ndarray):
@@ -296,6 +289,7 @@ def simulate_unwinding(
     short-way distance on the circle, the gap between the two being the
     unwinding effect.
     """
+    require_finite(NonFiniteInputError, theta0=theta0, omega0=omega0, k=k, c=c)
     if not (k > 0.0 and c > 0.0):
         raise InvalidConfigError(f"gains must be positive, got k={k}, c={c}")
     ts = _grid(dt, t1, 0.0)

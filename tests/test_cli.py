@@ -255,6 +255,35 @@ class TestDemos:
         assert r.stdout == ""
         assert r.stderr.startswith("error: Euler angles must be finite")
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["integrate", "--rate", "0,0,1", "--dt", "0.1", "--t1", "inf"], "t1"),
+            (["demo-unwinding", "--t1", "inf"], "t1"),
+            (["demo-gimbal-lock", "--t1", "inf"], "t1"),
+            (["demo-unwinding", "--theta0", "nan", "--t1", "1"], "theta0"),
+            (["demo-unwinding", "--omega0", "inf", "--t1", "1"], "omega0"),
+            (["demo-unwinding", "--k", "inf", "--t1", "1"], "k"),
+            (["demo-unwinding", "--c", "nan", "--t1", "1"], "c"),
+            (["demo-gimbal-lock", "--pitch-rate", "0"], "pitch_rate"),
+            (["demo-gimbal-lock", "--pitch-rate", "nan"], "pitch_rate"),
+            (["demo-gimbal-lock", "--pitch-rate", "inf"], "pitch_rate"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_non_finite_or_zero_parameter_exit_3(self, args, name):
+        r = run_cli(*args)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: {name} must be finite") and r.stderr.count("\n") == 1
+
+    def test_gimbal_lock_negative_pitch_rate_locks_at_minus_pi_over_2(self, tmp_path):
+        r = run_cli("demo-gimbal-lock", "--pitch-rate", "-3", "--output", str(tmp_path / "g.csv"))
+        assert r.returncode == 0
+        summary = json.loads(r.stdout)
+        assert summary["gimbal_lock"] is True
+        assert summary["theta"] == pytest.approx(-math.pi / 2, abs=1e-6)
+
     def test_demos_deterministic(self, tmp_path):
         outputs = []
         for i in range(2):

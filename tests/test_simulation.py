@@ -4,7 +4,7 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from attikit import (
     GimbalLockError,
@@ -24,7 +24,7 @@ from attikit import (
     rotate_vector_inverse,
     simulate_unwinding,
 )
-from attikit.algebra import _mul, _pure, _unit
+from attikit.algebra import _mul
 from attikit.checks import SINGULARITY_THRESHOLD, require_unit
 from attikit.conversions import _from_axis_angle
 from attikit.kinematics import _conditioning, _euler_rates_321
@@ -185,9 +185,27 @@ class TestPropagateQuaternion:
         b = propagate_quaternion(q0, prof, 1e-3, 1.2, method="expmap")
         assert np.max(np.abs(a[-1].q - b[-1].q)) < 1e-6
 
+    def test_rk4_exact_when_switches_miss_the_grid_by_one_ulp(self, rng):
+        times, dt = np.arange(0.0, 1.0, 0.05), 1e-3
+        grid = _grid(dt, 1.0, 0.0)
+        late = [s for s in times if s not in grid and np.nextafter(s, 0.0) in grid]
+        assert np.round(late, 12).tolist() == [0.15, 0.3, 0.6, 0.85]
+        rates = rng.normal(size=(times.size, 3))
+        states = propagate_quaternion(IDENTITY, RateProfile.from_samples(times, rates), dt, 1.0)
+        exact = IDENTITY
+        for w, start, end in zip(rates, times, [*times[1:], states[-1].t]):
+            exact = quat_mul(exact, exp_step(w, end - start))
+        assert np.abs(states[-1].q - exact).max() <= 1e-12
+
     def test_invalid_dt(self):
         with pytest.raises(InvalidConfigError):
             propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), -0.1, 1.0)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_span_typed(self, t0, t1):
+        name = "t1" if math.isfinite(t0) else "t0"
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be finite, got "):
+            propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), 0.1, t1, t0=t0)
 
     def test_grid_times_are_t0_plus_k_dt(self):
         states = propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), 0.1, 1.0, t0=0.3)
@@ -199,6 +217,15 @@ class TestPropagateQuaternion:
             propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), dt, 1.0, method="bogus")
 
 
+def exp_step(w, dt):
+    """The rotation by |w| dt about w."""
+    n = float(np.linalg.norm(w))
+    if n == 0.0:
+        return IDENTITY
+    axis = w / n  # off unit norm when w is subnormal, so normalized once more
+    return from_axis_angle(axis / np.linalg.norm(axis), n * dt)
+
+
 def reference_propagate(q0, profile, dt, t1, method, t0):
     """The per-step loop propagate_quaternion ran before its increments were batched."""
     q = require_unit(q0).copy()
@@ -207,16 +234,12 @@ def reference_propagate(q0, profile, dt, t1, method, t0):
     for t, t_next in pairwise(ts):
         w = states[-1].w_body
         if method == "rk4":
-            # The end-of-step rate is sampled just inside [t, t+dt) so a
-            # zero-order-hold switch aligned with the grid belongs entirely
-            # to the next step (negligible for smooth profiles).
-            t_end = float(np.nextafter(t + dt, t))
-            w_mid = _pure(profile(t + 0.5 * dt))
-            k1 = 0.5 * _mul(q, _pure(w))
-            k2 = 0.5 * _mul(q + 0.5 * dt * k1, w_mid)
-            k3 = 0.5 * _mul(q + 0.5 * dt * k2, w_mid)
-            k4 = 0.5 * _mul(q + dt * k3, _pure(profile(t_end)))
-            q = _unit(q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            # CF4: two exponential maps of the rates at the Gauss nodes, renormalized per step.
+            c = math.sqrt(3.0) / 6.0
+            w1, w2 = profile(t + (0.5 - c) * dt), profile(t + (0.5 + c) * dt)
+            a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+            q = quat_mul(q, exp_step(a2 * w1 + a1 * w2, dt))
+            q = normalized(quat_mul(q, exp_step(a1 * w1 + a2 * w2, dt)))
         else:
             wn = float(np.linalg.norm(w))
             if wn > 0.0:
@@ -281,41 +304,52 @@ class TestBatchedIncrements:
         assert np.array_equal(states[0].q, q0) and np.array_equal(states[0].w_body, [0.5, -1.0, 2.0])
 
 
+def vectors(bound):
+    """3-vectors with components in [-bound, bound] and norm at least 0.1."""
+    v = st.lists(st.floats(-bound, bound), min_size=3, max_size=3).map(np.array)
+    return v.filter(lambda x: np.linalg.norm(x) >= 0.1)
+
+
 class TestConingOracle:
     """Two constant-axis spins q(t) = E(a, t) ∘ E(b, t), E(v, t) = exp(½ v t).
 
     The body rate w(t) = R(E(b, t))ᵀ a + b is smooth and time-varying, so this
-    checks RK4's order (Savage, JGCD 1998, two-axis coning).
+    checks each method's order (Savage, JGCD 1998, two-axis coning).
     """
 
     A = np.array([0.3, -0.2, 0.5])
     B = np.array([0.0, 0.0, 2.0])
     DTS = (0.04, 0.02, 0.01, 0.005)
 
-    @staticmethod
-    def spin(v, t):
-        n = np.linalg.norm(v)
-        return from_axis_angle(v / n, n * t)
-
-    def errors(self, method):
-        profile = RateProfile(lambda t: rotate_vector_inverse(self.spin(self.B, t), self.A) + self.B)
+    def errors(self, method, a=A, b=B, t1=10.0, dts=DTS):
+        profile = RateProfile(lambda t: rotate_vector_inverse(exp_step(b, t), a) + b)
         out = []
-        for dt in self.DTS:
-            last = propagate_quaternion(IDENTITY, profile, dt, 10.0, method=method)[-1]
-            exact = quat_mul(self.spin(self.A, last.t), self.spin(self.B, last.t))
+        for dt in dts:
+            last = propagate_quaternion(IDENTITY, profile, dt, t1, method=method)[-1]
+            exact = quat_mul(exp_step(a, last.t), exp_step(b, last.t))
             d = quat_mul(conjugate(exact), last.q)
             out.append(2.0 * math.atan2(np.linalg.norm(d[1:]), abs(d[0])))
         return np.array(out)
 
     @pytest.mark.parametrize(
         "method, ratio, tol, err_at_001",
-        [("rk4", 16.0, 0.5, 5.591e-9), ("expmap", 2.0, 0.1, 6.953e-4)],
+        [("rk4", 16.0, 0.5, 1.015e-10), ("expmap", 2.0, 0.1, 6.953e-4)],
         ids=["rk4", "expmap"],
     )
     def test_convergence_order(self, method, ratio, tol, err_at_001):
         err = self.errors(method)
         assert np.all(np.abs(err[:-1] / err[1:] - ratio) <= tol), err
         assert err[self.DTS.index(0.01)] == pytest.approx(err_at_001, rel=1e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=vectors(1.0), b=vectors(2.0))
+    def test_rk4_order_on_random_coning(self, a, b):
+        # Spins about near-parallel axes barely cone: the rate is then almost constant, which
+        # rk4 integrates to round-off, and the order no longer shows in the error.
+        assume(np.linalg.norm(np.cross(a, b)) >= 0.1)
+        err = self.errors("rk4", a, b, 5.0, self.DTS[:3])
+        assert np.all(np.abs(err[:-1] / err[1:] - 16.0) <= 0.5), err
+        assert np.all(err < self.errors("expmap", a, b, 5.0, self.DTS[:3])), err
 
 
 class TestPropagateEuler321:
@@ -336,6 +370,23 @@ class TestPropagateEuler321:
         last = traj.states[-1]
         assert abs(last.theta - math.pi / 2) < 1e-8
         assert last.conditioning > 1e8
+
+    def test_negative_pitch_sweep_locks_at_minus_pi_over_2(self):
+        dt = pitch_sweep_dt(-3.0, 1e-3)
+        assert dt == pitch_sweep_dt(3.0, 1e-3)
+        traj = propagate_euler_321([0, 0, 0], pitch_sweep_profile(-3.0), dt, 4.0)
+        assert traj.gimbal_locked
+        assert abs(traj.states[-1].theta + math.pi / 2) < 1e-8
+
+    @pytest.mark.parametrize("rate", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_pitch_sweep_rejects_zero_or_non_finite_rate(self, rate):
+        with pytest.raises(InvalidConfigError, match=f"^pitch_rate must be finite and nonzero, got {rate}$"):
+            pitch_sweep_dt(rate, 1e-3)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_pitch_sweep_rejects_bad_dt(self, dt):
+        with pytest.raises(InvalidConfigError, match=f"^dt must be positive, got {dt}$"):
+            pitch_sweep_dt(0.5, dt)
 
     def test_small_angle_cross_check_vs_quaternion(self):
         # 321 sequence: a yaw-only history matches the XYZ psi extraction, so
@@ -559,3 +610,10 @@ class TestUnwinding:
             simulate_unwinding(1.0, 0.0, -1.0, 2.0, 1e-3, 1.0)
         with pytest.raises(InvalidConfigError):
             simulate_unwinding(1.0, 0.0, 1.0, 0.0, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("name", ["theta0", "omega0", "k", "c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_named(self, name, bad):
+        args = {"theta0": 1.0, "omega0": 0.0, "k": 1.0, "c": 2.0, name: bad}
+        with pytest.raises(NonFiniteInputError, match=f"^{name} must be finite, got {bad}$"):
+            simulate_unwinding(**args, dt=1e-3, t1=1.0)
