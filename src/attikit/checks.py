@@ -30,6 +30,7 @@ GIMBAL_EPSILON = 1e-6  # radians from theta = ±pi/2 extracted as degenerate XYZ
 SINGULARITY_THRESHOLD = 1e-8  # |cos theta| at or below this is 3-2-1 gimbal lock
 RATE_ORTHOGONALITY_TOLERANCE = 1e-6  # admitted |<q, qdot>| of a quaternion rate
 TRAJECTORY_TOLERANCE = 1e-6  # admitted |scalar(2 conj(q)∘qdd) + 2 |qd|^2|
+MAX_STEPS = 10**7  # most grid steps (t1 - t0) / dt a propagation may take
 
 
 def dot(a, b):

@@ -34,22 +34,21 @@ EXIT_INVALID = 3
 REPRS = ("quat", "matrix", "axis-angle", "euler-xyz", "jpl")
 
 
-def _precision_default() -> int:
-    raw = os.environ.get("ATTIKIT_PRECISION")
-    if raw is None:
-        return 12
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"error: ATTIKIT_PRECISION must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+class _ParseError(Exception):
+    """A command-line value or input file that cannot be read (exit 2)."""
 
 
-def _check_precision(p: int) -> int:
-    if not 4 <= p <= 17:
-        print(f"error: precision {p} outside [4, 17]", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    return p
+def _precision(flag: int | None) -> int:
+    """--precision, else ATTIKIT_PRECISION, else 12; it must lie in [4, 17]."""
+    if flag is None:
+        raw = os.environ.get("ATTIKIT_PRECISION", "12")
+        try:
+            flag = int(raw)
+        except ValueError:
+            raise _ParseError(f"ATTIKIT_PRECISION must be an integer, got {raw!r}") from None
+    if not 4 <= flag <= 17:
+        raise _ParseError(f"precision {flag} outside [4, 17]")
+    return flag
 
 
 def _round(x: float, p: int) -> float:
@@ -61,17 +60,15 @@ def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
     try:
         vals = [float(tok) for tok in text.split(",")]
     except ValueError:
-        print(f"error: cannot parse {what} from {text!r}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise _ParseError(f"cannot parse {what} from {text!r}") from None
     if len(vals) != n:
-        print(f"error: {what} needs {n} comma-separated values, got {len(vals)}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise _ParseError(f"{what} needs {n} comma-separated values, got {len(vals)}")
     return np.array(vals)
 
 
 def _parse_unit_quat(text: str, what: str = "quaternion") -> np.ndarray:
     q = checks.require_unit(_parse_floats(text, 4, what), checks.CLI_UNIT_TOLERANCE, what)
-    return algebra.normalized(q)
+    return algebra._unit(q)
 
 
 def _angle_in(x: float, unit: str) -> float:
@@ -175,9 +172,9 @@ def cmd_compose(args) -> int:
     base = _parse_unit_quat(args.base, "base quaternion")
     pert = _parse_unit_quat(args.perturbation, "perturbation quaternion")
     if args.frame == "local":
-        q = algebra.quat_mul(base, pert)
+        q = algebra._mul(base, pert)
     else:
-        q = algebra.quat_mul(pert, base)
+        q = algebra._mul(pert, base)
     _emit(_quat_payload(q), args.output_format, args.precision)
     return 0
 
@@ -197,9 +194,8 @@ def _load_profile(args) -> simulation.RateProfile:
     if args.profile:
         try:
             return simulation.RateProfile.from_csv(args.profile)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE)
+        except ValueError as exc:  # an AttitudeError or a UnicodeDecodeError from the file
+            raise _ParseError(exc) from exc
     return simulation.RateProfile.constant(_parse_floats(args.rate, 3, "rate"))
 
 
@@ -347,17 +343,12 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_value_flags(list(argv)))
-    if args.precision is None:
-        args.precision = _precision_default()
-    _check_precision(args.precision)
     try:
+        args.precision = _precision(args.precision)
         return args.func(args)
-    except AttitudeError as exc:
+    except (_ParseError, OSError, AttitudeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_INVALID if isinstance(exc, AttitudeError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

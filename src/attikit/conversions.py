@@ -213,18 +213,18 @@ def euler_xyz_to_quat(phi, theta, psi) -> np.ndarray:
     return _mul(q_phi, _mul(q_theta, q_psi))
 
 
-def quat_to_euler_xyz(q, gimbal_epsilon: float = GIMBAL_EPSILON) -> EulerAnglesXYZ:
+def quat_to_euler_xyz(q) -> EulerAnglesXYZ:
     """Extract XYZ Euler angles from unit quaternions.
 
     theta is the principal asin branch in [-pi/2, pi/2]; phi and psi use the
-    four-quadrant arctangent.  Within ``gimbal_epsilon`` radians of
+    four-quadrant arctangent.  Within ``GIMBAL_EPSILON`` radians of
     theta = ±pi/2 only the combined twist is observable: the result is
     flagged degenerate with psi = 0 and the twist folded into phi.
     """
     q = require_unit(q)
     q0, q1, q2, q3 = (q[..., k] for k in range(4))
     s = np.clip(2.0 * (q0 * q2 + q1 * q3), -1.0, 1.0)
-    degenerate = np.abs(s) >= math.cos(gimbal_epsilon)
+    degenerate = np.abs(s) >= math.cos(GIMBAL_EPSILON)
     sign = np.copysign(1.0, s)
     # At the poles R[1,0] = sin(phi ± psi) and R[1,1] = cos(phi ∓ psi).
     phi_pole = np.arctan2(

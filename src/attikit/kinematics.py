@@ -128,9 +128,9 @@ def body_rates_from_euler_321(phi, theta, euler_rates) -> np.ndarray:
     return (euler_321_rate_matrix(phi, theta) @ er[..., None])[..., 0]
 
 
-def _euler_rates_321(phi, theta, w, singularity_threshold):
+def _euler_rates_321(phi, theta, w):
     cth = np.cos(theta)
-    bad = abs(cth) <= singularity_threshold
+    bad = abs(cth) <= SINGULARITY_THRESHOLD
     if np.count_nonzero(bad):
         raise GimbalLockError(float(np.ravel(cth)[np.argmax(bad)]))
     sphi, cphi = np.sin(phi), np.cos(phi)
@@ -145,16 +145,9 @@ def _euler_rates_321(phi, theta, w, singularity_threshold):
     return rates
 
 
-def euler_rates_from_body_321(
-    phi,
-    theta,
-    w_body,
-    singularity_threshold: float = SINGULARITY_THRESHOLD,
-) -> np.ndarray:
-    """321 Euler rates from body rates; raises GimbalLockError near theta = ±pi/2."""
-    return _euler_rates_321(
-        _angle(phi), _angle(theta), finite(w_body, (3,), "body rate"), singularity_threshold
-    )
+def euler_rates_from_body_321(phi, theta, w_body) -> np.ndarray:
+    """321 Euler rates from body rates; GimbalLockError where |cos theta| <= SINGULARITY_THRESHOLD."""
+    return _euler_rates_321(_angle(phi), _angle(theta), finite(w_body, (3,), "body rate"))
 
 
 def _conditioning(theta):

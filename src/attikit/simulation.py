@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import _mul, _norm, _unit
-from .checks import SINGULARITY_THRESHOLD, reject, require_finite, require_unit
+from .checks import MAX_STEPS, SINGULARITY_THRESHOLD, reject, require_finite, require_unit
 from .conversions import _from_axis_angle
 from .errors import InvalidConfigError, NonFiniteInputError
 
@@ -103,6 +103,7 @@ class RateProfile:
         if times.size == 0:
             raise InvalidConfigError("empty rate profile")
         reject(~np.isfinite(times), NonFiniteInputError, "non-finite sample time {}", times)
+        reject(~np.isfinite(rates).all(axis=1), NonFiniteInputError, "non-finite sample rate {}", rates)
         if np.any(np.diff(times) <= 0):
             raise InvalidConfigError("sample times must be strictly increasing")
         starts = times.tolist()
@@ -143,8 +144,10 @@ def _grid(dt: float, t1: float, t0: float) -> np.ndarray:
     require_finite(InvalidConfigError, t0=t0, t1=t1)
     if not t1 > t0:
         raise InvalidConfigError(f"t1 = {t1} must exceed t0 = {t0}")
-    n = int(round((t1 - t0) / dt))
-    return t0 + dt * np.arange(n + 1)
+    n = (t1 - t0) / dt
+    if not n <= MAX_STEPS:  # written so that an inf step count fails too
+        raise InvalidConfigError(f"dt = {dt} and t1 = {t1} ask for {n:.3g} steps > MAX_STEPS = {MAX_STEPS}")
+    return t0 + dt * np.arange(round(n) + 1)
 
 
 def _rates(profile: RateProfile, ts: np.ndarray) -> np.ndarray:
@@ -247,13 +250,18 @@ def pitch_sweep_dt(pitch_rate: float = 0.5, target_dt: float = 1e-3) -> float:
 
     Snapping the grid onto the singular pitch angle lets the gimbal-lock
     demo halt with the conditioning metric actually blown up (>1e8) instead
-    of stepping over the singularity; a negative rate lands on -pi/2.
+    of stepping over the singularity; a negative rate lands on -pi/2. A rate
+    so small that no finite step count reaches the lock is an InvalidConfigError.
     """
     if not (pitch_rate != 0.0 and math.isfinite(pitch_rate)):
         raise InvalidConfigError(f"pitch_rate must be finite and nonzero, got {pitch_rate}")
     if not (target_dt > 0.0 and math.isfinite(target_dt)):
         raise InvalidConfigError(f"dt must be positive, got {target_dt}")
-    n = max(1, round((0.5 * math.pi) / (abs(pitch_rate) * target_dt)))
+    rate_dt = abs(pitch_rate) * target_dt
+    steps = (0.5 * math.pi) / rate_dt if rate_dt > 0.0 else math.inf
+    if not math.isfinite(steps):
+        raise InvalidConfigError(f"pitch_rate {pitch_rate} is too small to reach pi/2 at dt = {target_dt}")
+    n = max(1, round(steps))
     return (0.5 * math.pi) / (abs(pitch_rate) * n)
 
 
@@ -308,6 +316,11 @@ def simulate_unwinding(
 
 
 def critically_damped_reference(theta0: float, t) -> np.ndarray:
-    """Closed-form solution theta0 (1 + t) e^{-t} for k = 1, c = 2, omega0 = 0."""
+    """Closed-form solution theta0 (1 + t) e^{-t} for k = 1, c = 2, omega0 = 0.
+
+    An independent oracle for simulate_unwinding, written out by hand rather
+    than taken from _planar_exact; the tests and demos/demo_unwinding.py check
+    the solver against it.
+    """
     t = np.asarray(t, dtype=float)
     return theta0 * (1.0 + t) * np.exp(-t)

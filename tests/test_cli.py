@@ -1,10 +1,14 @@
+import ast
 import csv
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from attikit import cli
 
 Q_Z45 = "0.923879532511287,0,0,0.38268343236509"
 Q_X90 = "0.707106781186548,0.707106781186548,0,0"
@@ -284,6 +288,14 @@ class TestDemos:
         assert summary["gimbal_lock"] is True
         assert summary["theta"] == pytest.approx(-math.pi / 2, abs=1e-6)
 
+    def test_gimbal_lock_tiny_pitch_rate_runs_to_t1(self, tmp_path):
+        # The lock is ~1.6e15 steps away, far above MAX_STEPS, but only 4000 steps are taken.
+        out = tmp_path / "g.csv"
+        r = run_cli("demo-gimbal-lock", "--pitch-rate", "1e-12", "--output", str(out))
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["gimbal_lock"] is False
+        assert len(out.read_text().splitlines()) == 1 + 4001
+
     def test_demos_deterministic(self, tmp_path):
         outputs = []
         for i in range(2):
@@ -318,3 +330,90 @@ class TestTrajectorySinks:
         if args[0] == "demo-gimbal-lock":
             assert summary["gimbal_lock"] is True
             assert to_stdout.stdout.endswith(",1\n")
+
+
+PROFILES = {
+    "not-increasing": "t,p,q,r\n0,0,0,0\n0,1,0,0\n",
+    "nan-time": "t,p,q,r\n0,0,0,0\nnan,1,0,0\n1,0,1,0\n",
+    "bad-cell": "t,p,q,r\n0,0,0,0\n1,x,0,0\n",
+    "nan-rate": "t,p,q,r\n0,0,0,1\n5,nan,0,0\n",
+}
+
+
+def _error_call(code, *args, cause="", env=None):
+    return pytest.param(code, list(args), cause, env, id=" ".join(args))
+
+
+# Every call that must fail, with its exit code and, where it is pinned, the cause the
+# error line names. "{tmp}" is a directory holding the PROFILES files.
+ERROR_CALLS = [
+    _error_call(2, "convert", "--from", "quat", "--to", "quat", "--value", "1,0,frog,0"),
+    _error_call(3, "convert", "--from", "matrix", "--to", "quat", "--value", "1,0,0,0,1,0,0,0,2"),
+    _error_call(3, "convert", "--from", "quat", "--to", "matrix", "--value", "1,1,0,0"),
+    _error_call(3, "compose", "--base", "1,1,1,1", "--perturbation", "1,0,0,0"),
+    _error_call(2, "rotate", "--quat", "1,0,0,0", "--vec", "1,0,0", "--precision", "3"),
+    _error_call(
+        2, "rotate", "--quat", "1,0,0,0", "--vec", "1,0,0",
+        cause="ATTIKIT_PRECISION must be an integer", env={"ATTIKIT_PRECISION": "abc"},
+    ),
+    _error_call(2, "integrate", "--profile", "/nonexistent.csv", "--dt", "0.1", "--t1", "1"),
+    _error_call(2, "integrate", "--profile", "{tmp}/not-increasing.csv", "--dt", "0.1", "--t1", "0.5"),
+    _error_call(2, "integrate", "--profile", "{tmp}/nan-time.csv", "--dt", "0.1", "--t1", "0.5"),
+    _error_call(2, "integrate", "--profile", "{tmp}/bad-cell.csv", "--dt", "0.1", "--t1", "0.5"),
+    _error_call(
+        2, "integrate", "--profile", "{tmp}/nan-rate.csv", "--dt", "0.1", "--t1", "1",
+        cause="non-finite sample rate [nan, 0.0, 0.0] at row 1",
+    ),
+    _error_call(3, "integrate", "--rate", "0,0,1", "--dt", "0.1", "--t1", "inf"),
+    _error_call(
+        3, "integrate", "--rate", "0,0,1", "--dt", "1e-300", "--t1", "1",
+        cause="dt = 1e-300 and t1 = 1.0 ask for 1e+300 steps > MAX_STEPS",
+    ),
+    _error_call(3, "demo-unwinding", "--k", "-1"),
+    _error_call(3, "demo-unwinding", "--t1", "inf"),
+    _error_call(3, "demo-unwinding", "--theta0", "nan", "--t1", "1"),
+    _error_call(3, "demo-unwinding", "--omega0", "inf", "--t1", "1"),
+    _error_call(3, "demo-unwinding", "--k", "inf", "--t1", "1"),
+    _error_call(3, "demo-unwinding", "--c", "nan", "--t1", "1"),
+    _error_call(
+        3, "demo-unwinding", "--dt", "1e-9", "--t1", "100",
+        cause="dt = 1e-09 and t1 = 100.0 ask for 1e+11 steps > MAX_STEPS",
+    ),
+    _error_call(3, "demo-gimbal-lock", "--t1", "inf"),
+    _error_call(3, "demo-gimbal-lock", "--pitch-rate", "0"),
+    _error_call(3, "demo-gimbal-lock", "--pitch-rate", "nan"),
+    _error_call(3, "demo-gimbal-lock", "--pitch-rate", "inf"),
+    _error_call(3, "demo-gimbal-lock", "--pitch-rate", "1e-320", cause="pitch_rate 1e-320 is too small"),
+    _error_call(
+        3, "demo-gimbal-lock", "--pitch-rate", "1e-320", "--dt", "1e-4",
+        cause="pitch_rate 1e-320 is too small",
+    ),
+    _error_call(3, "demo-gimbal-lock", "--e0", "nan,0,0"),
+    _error_call(3, "demo-gimbal-lock", "--e0", "0,inf,0"),
+]
+
+
+@pytest.mark.parametrize("code, args, cause, env", ERROR_CALLS)
+def test_error_call_prints_one_error_line(tmp_path, code, args, cause, env):
+    for name, text in PROFILES.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    r = run_cli(*(a.format(tmp=tmp_path) for a in args), env_extra=env)
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+    assert cause in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_only_main_prints_errors_and_exits():
+    # Helpers raise; main alone prints "error: ..." and picks the exit code.
+    def homes(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "SystemExit":
+                yield where
+            if isinstance(child, ast.Constant) and str(child.value).startswith("error:"):
+                yield where
+            yield from homes(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert set(homes(tree, None)) == {"main"}

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from attikit import (
     to_axis_angle,
     to_rotation_matrix,
 )
+from attikit.checks import GIMBAL_EPSILON
 from attikit.conversions import jpl_quat_mul, jpl_rotate_global_to_local
 from conftest import random_unit_quats
 
@@ -250,6 +252,14 @@ class TestEulerXYZ:
             assert e.psi == 0.0
             r_back = to_rotation_matrix(euler_xyz_to_quat(e.phi, e.theta, e.psi))
             assert np.max(np.abs(r_back - to_rotation_matrix(q))) < 1e-6
+
+    def test_degenerate_band_is_the_table_entry(self):
+        # The band is not a parameter: within GIMBAL_EPSILON of theta = pi/2 is degenerate.
+        assert list(inspect.signature(quat_to_euler_xyz).parameters) == ["q"]
+        outside = euler_xyz_to_quat(0.4, math.pi / 2 - 2.0 * GIMBAL_EPSILON, -0.7)
+        inside = euler_xyz_to_quat(0.4, math.pi / 2 - 0.5 * GIMBAL_EPSILON, -0.7)
+        assert not quat_to_euler_xyz(outside).degenerate
+        assert quat_to_euler_xyz(inside).degenerate
 
 
 class TestJplBridge:

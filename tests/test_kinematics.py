@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from attikit import (
     to_rotation_matrix,
     world_rates_from_qdot,
 )
+from attikit.checks import SINGULARITY_THRESHOLD
 from conftest import random_unit_quats, sample_trajectory
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -214,6 +216,13 @@ class TestEuler321Rates:
         with pytest.raises(GimbalLockError) as exc:
             euler_rates_from_body_321(0.2, math.pi / 2, [1.0, 0, 0])
         assert abs(exc.value.cos_theta) <= 1e-8
+
+    def test_lock_threshold_is_the_table_entry(self):
+        # The threshold is not a parameter: |cos theta| <= SINGULARITY_THRESHOLD locks.
+        assert list(inspect.signature(euler_rates_from_body_321).parameters) == ["phi", "theta", "w_body"]
+        euler_rates_from_body_321(0.2, math.pi / 2 - 2.0 * SINGULARITY_THRESHOLD, [1.0, 0, 0])
+        with pytest.raises(GimbalLockError):
+            euler_rates_from_body_321(0.2, math.pi / 2 - 0.5 * SINGULARITY_THRESHOLD, [1.0, 0, 0])
 
     def test_conditioning_values(self):
         assert euler_rate_conditioning(0.0) == 1.0

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import pairwise
 
@@ -24,8 +25,9 @@ from attikit import (
     rotate_vector_inverse,
     simulate_unwinding,
 )
+from attikit import simulation
 from attikit.algebra import _mul
-from attikit.checks import SINGULARITY_THRESHOLD, require_unit
+from attikit.checks import require_unit
 from attikit.conversions import _from_axis_angle
 from attikit.kinematics import _conditioning, _euler_rates_321
 from attikit.simulation import AttitudeState, EulerState, EulerTrajectory, _grid, _hamilton
@@ -76,6 +78,12 @@ class TestRateProfile:
     def test_non_finite_sample_time_rejected(self, bad):
         with pytest.raises(NonFiniteInputError, match=f"^non-finite sample time {bad} at row 1$"):
             RateProfile.from_samples([0.0, bad, 1.0], np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rate_rejected(self, bad):
+        message = f"^non-finite sample rate \\[{bad}, 0.0, 0.0\\] at row 1$"
+        with pytest.raises(NonFiniteInputError, match=message):
+            RateProfile.from_samples([0.0, 5.0], [[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
 
     @settings(deadline=None)
     @given(
@@ -206,6 +214,25 @@ class TestPropagateQuaternion:
         name = "t1" if math.isfinite(t0) else "t0"
         with pytest.raises(InvalidConfigError, match=f"^{name} must be finite, got "):
             propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), 0.1, t1, t0=t0)
+
+    @pytest.mark.parametrize(
+        "dt, t1, t0",
+        [(1e-300, 1.0, 0.0), (1e-9, 100.0, 0.0), (1.0, 1e308, -1e308), (1e-7, 1.0000002, 0.0)],
+        ids=["1e300-steps", "1e11-steps", "inf-steps", "just-over"],
+    )
+    def test_step_count_above_max_steps_rejected(self, dt, t1, t0):
+        # Raised before any grid array is built, so the huge counts cost nothing.
+        with pytest.raises(InvalidConfigError, match=re.escape(f"dt = {dt} and t1 = {t1} ask for ")):
+            propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), dt, t1, t0=t0)
+        with pytest.raises(InvalidConfigError, match="MAX_STEPS"):
+            propagate_euler_321([0, 0, 0], RateProfile.constant([0, 0, 1]), dt, t1, t0=t0)
+
+    def test_step_count_at_the_cap_accepted(self, monkeypatch):
+        # The raw count (t1 - t0) / dt is compared, before it is rounded to the grid.
+        monkeypatch.setattr(simulation, "MAX_STEPS", 4)
+        assert _grid(1.0, 4.0, 0.0).size == 5
+        with pytest.raises(InvalidConfigError, match="4.4 steps > MAX_STEPS = 4$"):
+            _grid(1.0, 4.4, 0.0)
 
     def test_grid_times_are_t0_plus_k_dt(self):
         states = propagate_quaternion(IDENTITY, RateProfile.constant([0, 0, 1]), 0.1, 1.0, t0=0.3)
@@ -388,6 +415,11 @@ class TestPropagateEuler321:
         with pytest.raises(InvalidConfigError, match=f"^dt must be positive, got {dt}$"):
             pitch_sweep_dt(0.5, dt)
 
+    @pytest.mark.parametrize("dt", [1e-3, 1e-4], ids=["inf-steps", "rate-dt-underflows"])
+    def test_pitch_sweep_rejects_rate_too_small_to_lock(self, dt):
+        with pytest.raises(InvalidConfigError, match=f"^pitch_rate 1e-320 is too small .* dt = {dt}$"):
+            pitch_sweep_dt(1e-320, dt)
+
     def test_small_angle_cross_check_vs_quaternion(self):
         # 321 sequence: a yaw-only history matches the XYZ psi extraction, so
         # compare via rotation quaternions built from each representation.
@@ -450,7 +482,7 @@ def reference_euler_321(e0, profile, dt, t1, t0=0.0):
     states = [EulerState(t0, e[0], e[1], e[2], _conditioning(e[1]))]
     for t, t_next in pairwise(_grid(dt, t1, t0).tolist()):
         try:
-            rates = _euler_rates_321(e[0], e[1], profile(t), SINGULARITY_THRESHOLD)
+            rates = _euler_rates_321(e[0], e[1], profile(t))
         except GimbalLockError:
             return EulerTrajectory(states, gimbal_locked=True)
         e = e + dt * rates
