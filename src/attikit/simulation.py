@@ -1,8 +1,12 @@
 """Attitude propagation and the gimbal-lock / unwinding demonstrations.
 
-Quaternion propagation samples the profile on the grid once and composes
-per-step increments, q_{k+1} = q_k ∘ m_k (qdot = 1/2 q ∘ (0, w) is linear in
-q), built from exponential maps E(w dt) = (cos(|w| dt / 2), what sin(|w| dt / 2)).
+Both attitude propagators sample their rate profile with one
+``RateProfile.sample(ts)`` per table of times: one array call for constant and
+zero-order-hold profiles, one call per time for a plain callable.
+
+Quaternion propagation composes per-step increments, q_{k+1} = q_k ∘ m_k
+(qdot = 1/2 q ∘ (0, w) is linear in q), built from exponential maps
+E(w dt) = (cos(|w| dt / 2), what sin(|w| dt / 2)).
 ``expmap`` takes E(w dt) of the rate at each interval start: exact only for
 piecewise-constant rates aligned with the grid. ``rk4`` keeps its name but is
 the commutator-free fourth-order step CF4 (Celledoni, Marthinsen & Owren, FGCS
@@ -27,7 +31,7 @@ import bisect
 import cmath
 import csv
 import math
-from itertools import accumulate, pairwise
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -74,11 +78,15 @@ class RateProfile:
     """Body angular velocity as a function of time over an interval.
 
     Wraps either a closed-form callable t -> [p, q, r] or sampled values
-    with zero-order hold.
+    with zero-order hold. ``profile(t)`` gives one rate; ``profile.sample(ts)``
+    gives the (n, 3) table of rates at the times ts in one array call for
+    ``constant`` and ``from_samples`` profiles, and by one call per time for a
+    plain callable. Either way the result is a fresh array of checked rows.
     """
 
     def __init__(self, func):
         self._func = func
+        self._table = None  # an array sampler ts -> (n, 3), set by constant and from_samples
 
     def __call__(self, t: float) -> np.ndarray:
         w = np.array(self._func(t), dtype=float)
@@ -88,10 +96,23 @@ class RateProfile:
             raise NonFiniteInputError(f"rate profile non-finite at t={t}: {w}")
         return w
 
+    def sample(self, ts) -> np.ndarray:
+        """The rates at the 1-D times ts as an (n, 3) array, equal row for row to self(t).
+
+        A plain callable is called once per time, in order, so an error names the first bad time.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self._table is not None:
+            return self._table(ts)
+        return np.fromiter(map(self, ts.tolist()), np.dtype((float, 3)), ts.size)
+
     @classmethod
     def constant(cls, w) -> "RateProfile":
         w = np.array(w, dtype=float)
-        return cls(lambda t: w)
+        profile = cls(lambda t: w)
+        if w.shape == (3,) and np.isfinite(w).all():  # else sample falls back to the calls that name t
+            profile._table = lambda ts: np.tile(w, (ts.size, 1))
+        return profile
 
     @classmethod
     def from_samples(cls, times, rates) -> "RateProfile":
@@ -107,11 +128,14 @@ class RateProfile:
         if np.any(np.diff(times) <= 0):
             raise InvalidConfigError("sample times must be strictly increasing")
         starts = times.tolist()
+        held = np.concatenate([rates[:1], rates])  # held[i]: the rate after i sample times, clamped
 
         def hold(t: float) -> np.ndarray:
-            return rates[max(0, bisect.bisect_right(starts, t) - 1)]
+            return held[bisect.bisect_right(starts, t)]
 
-        return cls(hold)
+        profile = cls(hold)
+        profile._table = lambda ts: held[np.searchsorted(times, ts, side="right")]
+        return profile
 
     @classmethod
     def from_csv(cls, path) -> "RateProfile":
@@ -150,10 +174,6 @@ def _grid(dt: float, t1: float, t0: float) -> np.ndarray:
     return t0 + dt * np.arange(round(n) + 1)
 
 
-def _rates(profile: RateProfile, ts: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(profile, ts.tolist()), np.dtype((float, 3)), ts.size)
-
-
 def _hamilton(a, b):
     """_mul of two float 4-tuples, rounded alike: its terms in its order, summed from +0.0."""
     a0, a1, a2, a3 = a
@@ -187,10 +207,10 @@ def propagate_quaternion(
         raise InvalidConfigError(f"unknown method {method!r}")
     q0 = require_unit(q0)
     ts = _grid(dt, t1, t0)
-    w = _rates(profile, ts)
+    w = profile.sample(ts)
     if method == "rk4":
         t, c = ts[:-1], math.sqrt(3.0) / 6.0
-        w1, w2 = _rates(profile, t + (0.5 - c) * dt), _rates(profile, t + (0.5 + c) * dt)
+        w1, w2 = profile.sample(t + (0.5 - c) * dt), profile.sample(t + (0.5 + c) * dt)
         a1, a2 = 0.25 - c, 0.25 + c  # (3 ∓ 2√3) / 12
         m = _mul(_exp(a2 * w1 + a1 * w2, dt), _exp(a1 * w1 + a2 * w2, dt))
     else:
@@ -208,10 +228,13 @@ def propagate_euler_321(
 ) -> EulerTrajectory:
     """Integrate 321 Euler angles through the rate inversion.
 
-    Steps with explicit Euler so rates are only ever evaluated at emitted
-    states; when the inversion hits the pitch singularity the trajectory is
-    flagged and halted at the last reachable state rather than crashing.
-    Non-finite angles, given or reached by overflow, raise NonFiniteInputError.
+    Steps with explicit Euler from the rates at each step start, so the angles
+    are only ever advanced from emitted states; when the inversion hits the pitch
+    singularity the trajectory is flagged and halted at the last reachable state
+    rather than crashing. The profile is sampled at every step start of the grid
+    before the first step, past a lock too, so a rate that is non-finite anywhere
+    on the grid raises NonFiniteInputError naming its time. Non-finite angles,
+    given or reached by overflow, raise it as well.
     """
     e = np.asarray(e0, dtype=float)
     if e.shape != (3,):
@@ -222,8 +245,11 @@ def propagate_euler_321(
     cth = math.cos(theta)
     # No finite double has cos(theta) == 0: at the one nearest pi/2, 1/|cos| is ~1.6e16.
     states = [EulerState(t0, phi, theta, psi, 1.0 / abs(cth))]
-    for t, t_next in pairwise(_grid(dt, t1, t0).tolist()):
-        p, q, r = profile(t).tolist()
+    ts = _grid(dt, t1, t0)
+    steps = np.column_stack([ts[1:], profile.sample(ts[:-1])])  # rows t_{k+1}, p, q, r
+    del ts  # the grid is not kept alongside the states
+    # Rows become floats one step at a time: lists of the whole grid would outweigh the states.
+    for t_next, p, q, r in map(np.ndarray.tolist, steps):
         if abs(cth) <= SINGULARITY_THRESHOLD:
             return EulerTrajectory(states, gimbal_locked=True)
         # Rows [1, sphi tth, cphi tth], [0, cphi, -sphi], [0, sphi/cth, cphi/cth] times w.

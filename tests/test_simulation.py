@@ -99,6 +99,33 @@ class TestRateProfile:
             i = max(0, int(np.searchsorted(times, s, side="right")) - 1)
             assert np.array_equal(p(s), rates[i])
 
+    @settings(deadline=None)
+    @given(
+        times=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8, unique=True).map(sorted),
+        data=st.data(),
+    )
+    @pytest.mark.parametrize("kind", ["constant", "samples", "callable"])
+    def test_sample_equals_per_time_call(self, kind, times, data):
+        rates = np.arange(1.0, 1.0 + 3.0 * len(times)).reshape(-1, 3)
+        profile = {
+            "constant": lambda: RateProfile.constant(rates[-1]),
+            "samples": lambda: RateProfile.from_samples(times, rates),
+            "callable": lambda: RateProfile(lambda t: [math.sin(t), t, -2.0 * t]),
+        }[kind]()
+        # Before the first sample, on a switch, 1 ulp either side of it, between, and after the last.
+        switches = [u for s in times for u in (np.nextafter(s, -math.inf), s, np.nextafter(s, math.inf))]
+        query = st.one_of(
+            st.floats(times[0] - 1e3, times[0], exclude_max=True),
+            st.sampled_from(switches),
+            st.floats(times[0], times[-1]),
+            st.floats(times[-1], times[-1] + 1e3, exclude_min=True),
+        )
+        ts = np.array(data.draw(st.lists(query, min_size=1, max_size=12), label="ts"))
+        table = profile.sample(ts)
+        assert table.dtype == float and not np.shares_memory(table, rates)
+        assert np.array_equal(table, np.stack([profile(t) for t in ts.tolist()]))
+        assert profile.sample(ts[:0]).shape == (0, 3)
+
     def test_csv_requires_header(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("0,0.1,0.2,0.3\n")
@@ -128,14 +155,20 @@ class TestRateProfile:
     def test_shares_no_memory(self, make):
         rates = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         p, ref = make(rates), make(rates.copy())
+        ts = np.array([-0.1, 0.0, 0.1, 0.3])
+        table, other = p.sample(ts), p.sample(ts)
+        for a, b in [(table, other), (table, rates), (table, ts)]:
+            assert not np.shares_memory(a, b)
         states = propagate_quaternion(IDENTITY, p, 0.1, 0.4, method="expmap")
         states[0].w_body[:] = 99.0
         p(0.3)[:] = 99.0
+        table[:] = 99.0
         rates[:] = 99.0
         for s in states[1:]:
             assert np.array_equal(s.w_body, ref(s.t))
         for t in (0.0, 0.1, 0.3):
             assert np.array_equal(p(t), ref(t))
+        assert np.array_equal(other, ref.sample(ts)) and np.array_equal(p.sample(ts), other)
 
 
 class TestPropagateQuaternion:
@@ -337,6 +370,21 @@ def vectors(bound):
     return v.filter(lambda x: np.linalg.norm(x) >= 0.1)
 
 
+class ConingRates(RateProfile):
+    """The coning body rate w(t) = R(E(b, t))ᵀ a + b; sample calls each public function once per table."""
+
+    def __init__(self, a, b):
+        super().__init__(lambda t: rotate_vector_inverse(exp_step(b, t), a) + b)
+        self.a, self.b = a, b
+
+    def sample(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        n = float(np.linalg.norm(self.b))  # vectors() keeps it at 0.1 or more
+        axis = self.b / n
+        axis = np.tile(axis / np.linalg.norm(axis), (ts.size, 1))
+        return rotate_vector_inverse(from_axis_angle(axis, n * ts), self.a) + self.b
+
+
 class TestConingOracle:
     """Two constant-axis spins q(t) = E(a, t) ∘ E(b, t), E(v, t) = exp(½ v t).
 
@@ -349,7 +397,7 @@ class TestConingOracle:
     DTS = (0.04, 0.02, 0.01, 0.005)
 
     def errors(self, method, a=A, b=B, t1=10.0, dts=DTS):
-        profile = RateProfile(lambda t: rotate_vector_inverse(exp_step(b, t), a) + b)
+        profile = ConingRates(a, b)
         out = []
         for dt in dts:
             last = propagate_quaternion(IDENTITY, profile, dt, t1, method=method)[-1]
@@ -367,6 +415,12 @@ class TestConingOracle:
         err = self.errors(method)
         assert np.all(np.abs(err[:-1] / err[1:] - ratio) <= tol), err
         assert err[self.DTS.index(0.01)] == pytest.approx(err_at_001, rel=1e-3)
+
+    def test_array_sample_matches_per_time_rate(self):
+        # Not bit equality: NumPy's SIMD sin and cos may round differently from its scalar ones.
+        profile, ts = ConingRates(self.A, self.B), _grid(0.01, 5.0, 0.0)
+        want = np.stack([profile(t) for t in ts.tolist()])
+        assert np.abs(profile.sample(ts) - want).max() <= 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(a=vectors(1.0), b=vectors(2.0))
@@ -460,19 +514,28 @@ class TestFloatFold:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize(
-        "method, peak_per_state", [("rk4", 520), ("expmap", 441)], ids=["rk4", "expmap"]
+        "method, size, peak_per_state",
+        [("rk4", 4097, 520), ("expmap", 4097, 441), ("euler321", 3218, 280)],
+        ids=["rk4", "expmap", "euler321"],
     )
-    def test_transient_memory(self, method, peak_per_state):
-        q0, profile = normalized([1.0, 2.0, 3.0, 4.0]), RateProfile.constant([0.3, -1.1, 1.7])
+    def test_transient_memory(self, method, size, peak_per_state):
         dt = 2.0**-10
-        propagate_quaternion(q0, profile, dt, 4.0, method=method)  # warm caches first
+        q0, profile = normalized([1.0, 2.0, 3.0, 4.0]), RateProfile.constant([0.3, -1.1, 1.7])
+        sweep_dt = pitch_sweep_dt(0.5, dt)
+
+        def run():
+            if method == "euler321":  # the 4 s pitch sweep: it locks after 3,217 of its 4,096 steps
+                return propagate_euler_321([0, 0, 0], pitch_sweep_profile(), sweep_dt, 4.0).states
+            return propagate_quaternion(q0, profile, dt, 4.0, method=method)
+
+        run()  # warm caches first
         tracemalloc.start()
         try:
-            states = propagate_quaternion(q0, profile, dt, 4.0, method=method)
+            states = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(states) == 4097
+        assert len(states) == size
         assert peak / len(states) <= peak_per_state
 
 
@@ -536,6 +599,18 @@ class TestEulerFloatSteps:
         for run in (propagate_euler_321, reference_euler_321):
             with pytest.raises(NonFiniteInputError, match=f"t={t_lock}"):
                 run([0, 0, 0], profile, dt, 4.0)
+
+    def test_profile_error_after_the_lock_is_raised(self):
+        # The whole grid is sampled before the first step, so a rate that turns non-finite only
+        # past the lock names its time; the per-step loop stopped at the lock without seeing it.
+        dt = pitch_sweep_dt(0.5, 1e-3)
+        t_lock = propagate_euler_321([0, 0, 0], pitch_sweep_profile(0.5), dt, 4.0).states[-1].t
+        grid = _grid(dt, 4.0, 0.0).tolist()
+        t_bad = grid[grid.index(t_lock) + 1]
+        profile = RateProfile(lambda t: [0.0, 0.5, 0.0] if t <= t_lock else [math.nan, 0.0, 0.0])
+        with pytest.raises(NonFiniteInputError, match=f"non-finite at t={re.escape(str(t_bad))}: "):
+            propagate_euler_321([0, 0, 0], profile, dt, 4.0)
+        assert reference_euler_321([0, 0, 0], profile, dt, 4.0).gimbal_locked
 
     @pytest.mark.parametrize("w", [[1e308, 0.0, 0.0], [0.0, 0.0, 1e308]], ids=["phi", "psi"])
     def test_overflow_typed(self, w):
