@@ -27,7 +27,6 @@ around from theta = 2*pi - eps. Being linear, it is solved in closed form.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import csv
 import math
@@ -79,7 +78,7 @@ class RateProfile:
 
     Wraps either a closed-form callable t -> [p, q, r] or sampled values
     with zero-order hold. ``profile(t)`` gives one rate; ``profile.sample(ts)``
-    gives the (n, 3) table of rates at the times ts in one array call for
+    gives the (n, 3) table of rates at the 1-D times ts in one array call for
     ``constant`` and ``from_samples`` profiles, and by one call per time for a
     plain callable. Either way the result is a fresh array of checked rows.
     """
@@ -99,9 +98,12 @@ class RateProfile:
     def sample(self, ts) -> np.ndarray:
         """The rates at the 1-D times ts as an (n, 3) array, equal row for row to self(t).
 
-        A plain callable is called once per time, in order, so an error names the first bad time.
+        Times of any other shape raise InvalidConfigError. A plain callable is called once per
+        time, in order, so an error names the first bad time.
         """
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise InvalidConfigError(f"sample times must be 1-D, got shape {ts.shape}")
         if self._table is not None:
             return self._table(ts)
         return np.fromiter(map(self, ts.tolist()), np.dtype((float, 3)), ts.size)
@@ -127,14 +129,13 @@ class RateProfile:
         reject(~np.isfinite(rates).all(axis=1), NonFiniteInputError, "non-finite sample rate {}", rates)
         if np.any(np.diff(times) <= 0):
             raise InvalidConfigError("sample times must be strictly increasing")
-        starts = times.tolist()
         held = np.concatenate([rates[:1], rates])  # held[i]: the rate after i sample times, clamped
 
-        def hold(t: float) -> np.ndarray:
-            return held[bisect.bisect_right(starts, t)]
+        def hold(t):
+            return held[np.searchsorted(times, t, side="right")]
 
         profile = cls(hold)
-        profile._table = lambda ts: held[np.searchsorted(times, ts, side="right")]
+        profile._table = hold
         return profile
 
     @classmethod

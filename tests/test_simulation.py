@@ -126,6 +126,20 @@ class TestRateProfile:
         assert np.array_equal(table, np.stack([profile(t) for t in ts.tolist()]))
         assert profile.sample(ts[:0]).shape == (0, 3)
 
+    @pytest.mark.parametrize("ts", [0.5, [[0.0, 0.5], [1.0, 1.5]]], ids=["scalar", "2-D"])
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            RateProfile.constant([1.0, 2.0, 3.0]),
+            RateProfile.from_samples([0.0, 1.0], [[1, 0, 0], [0, 1, 0]]),
+            RateProfile(lambda t: [t, 0.0, 0.0]),
+        ],
+        ids=["constant", "samples", "callable"],
+    )
+    def test_sample_needs_1d_times(self, profile, ts):
+        with pytest.raises(InvalidConfigError, match=r"^sample times must be 1-D, got shape \("):
+            profile.sample(ts)
+
     def test_csv_requires_header(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("0,0.1,0.2,0.3\n")
